@@ -43,20 +43,18 @@ use std::time::Instant;
 
 use kiss_bench::runner::default_jobs;
 use kiss_core::checker::{Engine, Kiss};
-use kiss_core::StoreKind;
 use kiss_drivers::table::check_corpus_parallel;
 use kiss_core::supervisor::Supervisor;
 use kiss_obs::json::Json;
 use kiss_seq::Budget;
 
 const USAGE: &str =
-    "options: --quick --iters <n> --jobs <n> --store legacy|cow --out <path> --compare <path>";
+    "options: --quick --iters <n> --jobs <n> --out <path> --compare <path>";
 
 struct Options {
     quick: bool,
     iters: usize,
     jobs: usize,
-    store: StoreKind,
     out: String,
     compare: Option<String>,
 }
@@ -66,7 +64,6 @@ fn parse_args() -> Result<Options, String> {
         quick: false,
         iters: 0,
         jobs: default_jobs(),
-        store: StoreKind::default(),
         out: "BENCH_seq.json".to_string(),
         compare: None,
     };
@@ -74,11 +71,6 @@ fn parse_args() -> Result<Options, String> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => opts.quick = true,
-            "--store" => {
-                let v = args.next().ok_or_else(|| format!("{arg} needs a value\n{USAGE}"))?;
-                opts.store =
-                    StoreKind::parse(&v).ok_or_else(|| format!("unknown store `{v}`\n{USAGE}"))?;
-            }
             "--iters" => {
                 let v = args.next().ok_or_else(|| format!("{arg} needs a value\n{USAGE}"))?;
                 opts.iters = v.parse().map_err(|_| format!("{arg}: cannot parse `{v}`"))?;
@@ -113,18 +105,12 @@ fn parse_args() -> Result<Options, String> {
 /// suite is parsed once, outside the timed region: the measurement
 /// tracks the checking pipeline (transform, lowering, search), not the
 /// front end.
-fn run_suite(
-    engine: Engine,
-    store: StoreKind,
-    programs: &[kiss_lang::hir::Program],
-    reps: usize,
-) -> u64 {
+fn run_suite(engine: Engine, programs: &[kiss_lang::hir::Program], reps: usize) -> u64 {
     let mut steps = 0u64;
     for _ in 0..reps {
         for p in programs {
             let outcome = Kiss::new()
                 .with_engine(engine)
-                .with_store(store)
                 .with_validation(false)
                 .with_budget(Budget::steps_states(2_000_000, 60_000))
                 .check_assertions(p);
@@ -186,7 +172,6 @@ fn run_parallel_explore(
 ) -> (u64, u64, u64) {
     let outcome = Kiss::new()
         .with_engine(Engine::Bfs)
-        .with_store(StoreKind::Cow)
         .with_explore_jobs(jobs)
         .with_validation(false)
         .with_budget(Budget::steps_states(10_000_000, 200_000))
@@ -318,7 +303,7 @@ fn main() {
         let mut steps = 0u64;
         for _ in 0..opts.iters {
             let t0 = Instant::now();
-            steps = run_suite(engine, opts.store, &programs, reps);
+            steps = run_suite(engine, &programs, reps);
             walls.push(t0.elapsed().as_micros() as u64);
         }
         let wall_us = median(walls);

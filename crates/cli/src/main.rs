@@ -2,11 +2,10 @@
 //!
 //! ```text
 //! kissc check <file.kc> [--max-ts N] [--engine explicit|summary|bfs] [--no-validate]
-//!                       [--store legacy|cow] [--explore-jobs N]
+//!                       [--explore-jobs N]
 //!                       [--timeout S] [--max-steps N] [--max-states N] [--retries N]
 //!                       [--stats] [--trace-out PATH] [--metrics PATH] [--progress]
-//! kissc race <file.kc> <target> [--max-ts N] [--no-prune] [--store legacy|cow]
-//!                       [--explore-jobs N]
+//! kissc race <file.kc> <target> [--max-ts N] [--no-prune] [--explore-jobs N]
 //!                       [--timeout S] [--max-steps N] [--max-states N] [--retries N]
 //!                       [--stats] [--trace-out PATH] [--metrics PATH] [--progress]
 //! kissc transform <file.kc> [--max-ts N] [--race <target>]
@@ -54,7 +53,6 @@ use std::time::Duration;
 
 use kiss_core::checker::{Engine, Kiss, KissOutcome};
 use kiss_core::report::{render_liveness, render_trace};
-use kiss_core::StoreKind;
 use kiss_core::sigint::{install_sigint_cancel, install_sigterm_cancel, restore_sigpipe_default};
 use kiss_core::supervisor::{Supervised, SupervisedRun, Supervisor};
 use kiss_core::transform::{transform, RaceTarget, TransformConfig};
@@ -80,11 +78,10 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   kissc check <file.kc> [--max-ts N] [--engine explicit|summary|bfs] [--no-validate]
-                        [--ltl FORMULA] [--store legacy|cow] [--explore-jobs N]
+                        [--ltl FORMULA] [--explore-jobs N]
                         [--timeout S] [--max-steps N] [--max-states N] [--retries N]
                         [--stats] [--trace-out PATH] [--metrics PATH] [--progress]
-  kissc race <file.kc> <target> [--max-ts N] [--no-prune] [--store legacy|cow]
-                        [--explore-jobs N]
+  kissc race <file.kc> <target> [--max-ts N] [--no-prune] [--explore-jobs N]
                         [--timeout S] [--max-steps N] [--max-states N] [--retries N]
                         [--stats] [--trace-out PATH] [--metrics PATH] [--progress]
   kissc transform <file.kc> [--max-ts N] [--race <target>]
@@ -97,7 +94,7 @@ const USAGE: &str = "usage:
               [--trace-out PATH] [--metrics PATH] [--progress]
   kissc submit <file.kc>... [--race <target> | --ltl FORMULA] (--socket PATH | --port N)
   kissc submit --corpus [--refined] [--limit N] (--socket PATH | --port N)
-              [--engine explicit|summary|bfs] [--store legacy|cow] [--max-ts N]
+              [--engine explicit|summary|bfs] [--max-ts N]
               [--timeout S] [--max-steps N] [--max-states N] [--no-cache]
               [--no-batch] [--retry N] [--retry-backoff MS] [--request-timeout S]
   kissc ping (--socket PATH | --port N) [--request-timeout S]
@@ -143,12 +140,9 @@ liveness (check, submit):
                     exits 5; the exploration honours --explore-jobs
                     with byte-identical results at any worker count
 
-state store (check, race):
-  --store legacy|cow  visited-state representation: `cow` (default) is the
-                      interned fingerprint table with copy-on-write memory
-                      snapshots; `legacy` is the original hash-set store
+exploration (check, race):
   --explore-jobs N    worker threads exploring a single check (default 1);
-                      BFS engine + cow store only, results are byte-identical
+                      BFS engine and --ltl only, results are byte-identical
                       to a serial run (also accepted by submit)
 
 observability (check, race):
@@ -238,7 +232,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 "bfs" => Engine::Bfs,
                 other => return Err(format!("unknown engine `{other}`")),
             };
-            let store = store_flag(&mut flags)?;
             let explore_jobs = explore_jobs_flag(&mut flags)?;
             let validate = !flags.flag("--no-validate");
             let ltl = ltl_flag(&mut flags)?;
@@ -259,7 +252,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 let kiss = Kiss::new()
                     .with_max_ts(max_ts)
                     .with_engine(engine)
-                    .with_store(store)
                     .with_explore_jobs(explore_jobs)
                     .with_validation(validate)
                     .with_budget(b)
@@ -280,7 +272,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let target = flags.positional().ok_or("missing <target>")?;
             let max_ts: usize = parse_num(flags.value("--max-ts")?.unwrap_or("0"))?;
             let prune = !flags.flag("--no-prune");
-            let store = store_flag(&mut flags)?;
             let explore_jobs = explore_jobs_flag(&mut flags)?;
             let (budget, retries) = bound_flags(&mut flags)?;
             let obs_opts = obs_flags(&mut flags)?;
@@ -297,7 +288,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 Kiss::new()
                     .with_max_ts(max_ts)
                     .with_alias_prune(prune)
-                    .with_store(store)
                     .with_explore_jobs(explore_jobs)
                     .with_budget(b)
                     .with_cancel(token)
@@ -483,7 +473,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 None => Engine::default(),
                 Some(s) => Engine::parse(s).ok_or_else(|| format!("unknown engine `{s}`"))?,
             };
-            let store = store_flag(&mut flags)?;
             let explore_jobs = explore_jobs_flag(&mut flags)?;
             let max_ts: usize = parse_num(flags.value("--max-ts")?.unwrap_or("0"))?;
             let timeout_ms = flags
@@ -519,7 +508,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let endpoint = endpoint_of(socket, port)?;
             let configure = |mut request: Request| {
                 request.engine = engine;
-                request.store = store;
                 request.max_ts = max_ts;
                 request.max_steps = max_steps.map(|n| n as u64);
                 request.max_states = max_states.map(|n| n as u64);
@@ -725,14 +713,6 @@ fn endpoint_of(socket: Option<PathBuf>, port: Option<u16>) -> Result<Endpoint, S
 
 fn parse_num(s: &str) -> Result<usize, String> {
     s.parse().map_err(|_| format!("invalid number `{s}`"))
-}
-
-/// Parses the shared `--store` flag of `check` and `race`.
-fn store_flag(flags: &mut Flags) -> Result<StoreKind, String> {
-    match flags.value("--store")? {
-        None => Ok(StoreKind::default()),
-        Some(s) => StoreKind::parse(s).ok_or_else(|| format!("unknown store `{s}`")),
-    }
 }
 
 /// Parses the shared `--explore-jobs` flag of `check`, `race`, and

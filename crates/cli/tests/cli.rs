@@ -127,7 +127,7 @@ fn explore_jobs_matches_serial_output_and_rejects_bad_values() {
     // The flag is a throughput knob, never a semantics knob: the
     // parallel run's report must be byte-identical to the serial one.
     let path = write_temp("jobs", BUGGY);
-    let bfs = ["--engine", "bfs", "--store", "cow"];
+    let bfs = ["--engine", "bfs"];
     let serial =
         kissc().args(["check"]).arg(&path).args(bfs).output().expect("run kissc");
     let parallel = kissc()

@@ -16,7 +16,7 @@ use kiss_lang::Program;
 use kiss_obs::{Obs, Span, TraceId};
 use kiss_seq::{
     BfsChecker, BoundReason, Budget, CancelToken, EngineStats, ErrorTrace, ExplicitChecker,
-    StoreKind, SummaryChecker, Verdict,
+    SummaryChecker, Verdict,
 };
 
 use crate::trace_map::{self, MappedTrace};
@@ -241,7 +241,6 @@ pub struct Kiss {
     optimize: bool,
     cancel: CancelToken,
     obs: Obs,
-    store: StoreKind,
     explore_jobs: usize,
     trace: TraceId,
     trace_parent: u64,
@@ -266,7 +265,6 @@ impl Kiss {
             optimize: false,
             cancel: CancelToken::default(),
             obs: Obs::off(),
-            store: StoreKind::default(),
             explore_jobs: 1,
             trace: TraceId::NONE,
             trace_parent: 0,
@@ -304,18 +302,10 @@ impl Kiss {
         self
     }
 
-    /// Selects the sequential engines' state-storage implementation
-    /// (`--store legacy|cow`); the legacy store is the equivalence
-    /// oracle for the interned one.
-    pub fn with_store(mut self, store: StoreKind) -> Self {
-        self.store = store;
-        self
-    }
-
     /// Explores each single check with `jobs` worker threads
     /// (`--explore-jobs <n>`; clamped to at least one). Only the BFS
-    /// engine over the `cow` store parallelizes; other engines ignore
-    /// it. Verdicts, traces, and state counts are byte-identical to a
+    /// and LTL product engines parallelize; the others ignore it.
+    /// Verdicts, traces, and state counts are byte-identical to a
     /// serial run — this is a throughput knob, never a semantics knob.
     pub fn with_explore_jobs(mut self, jobs: usize) -> Self {
         self.explore_jobs = jobs.max(1);
@@ -517,19 +507,16 @@ impl Kiss {
                 .with_budget(self.budget)
                 .with_cancel(self.cancel.clone())
                 .with_observer(self.obs.clone())
-                .with_store(self.store)
                 .check_with_stats(),
             Engine::Summary => SummaryChecker::new(&module)
                 .with_budget(self.budget)
                 .with_cancel(self.cancel.clone())
                 .with_observer(self.obs.clone())
-                .with_store(self.store)
                 .check_with_stats(),
             Engine::Bfs => BfsChecker::new(&module)
                 .with_budget(self.budget)
                 .with_cancel(self.cancel.clone())
                 .with_observer(self.obs.clone())
-                .with_store(self.store)
                 .with_jobs(self.explore_jobs)
                 .check_with_stats(),
         };
@@ -727,6 +714,33 @@ mod tests {
         // never released, so the second thread blocks before its
         // access. No race is reported, matching the lockset intuition.
         assert!(outcome.is_clean(), "{outcome:?}");
+    }
+
+    #[test]
+    fn wrong_arity_indirect_call_is_a_runtime_error_in_every_engine() {
+        let p = prog(
+            "int g;
+             void two(int a, int b) { g = a + b; }
+             void main() { fn f; f = two; f(1); }",
+        );
+        let expect = |outcome: KissOutcome, label: &str| match outcome {
+            KissOutcome::RuntimeError(e) => {
+                assert!(e.ends_with("with 1 argument(s), expected 2"), "{label}: {e}")
+            }
+            other => panic!("{label}: expected an arity mismatch, got {other:?}"),
+        };
+        for engine in [Engine::Explicit, Engine::Summary, Engine::Bfs] {
+            for jobs in [1, 2] {
+                let kiss = Kiss::new().with_engine(engine).with_explore_jobs(jobs);
+                let label = format!("{} at jobs={jobs}", engine.name());
+                expect(kiss.check_assertions(&p), &label);
+            }
+        }
+        for jobs in [1, 2] {
+            let formula = kiss_ltl::parse("G (g == 0)").unwrap();
+            let outcome = Kiss::new().with_explore_jobs(jobs).check_ltl(&p, &formula).unwrap();
+            expect(outcome, &format!("ltl at jobs={jobs}"));
+        }
     }
 
     #[test]

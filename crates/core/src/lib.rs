@@ -46,6 +46,5 @@ pub mod trace_map;
 pub mod transform;
 
 pub use checker::{CheckError, Kiss, KissOutcome};
-pub use kiss_seq::StoreKind;
 pub use supervisor::{Supervised, SupervisedRun, Supervisor};
 pub use transform::{RaceTarget, TransformConfig, Transformed};

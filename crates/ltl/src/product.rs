@@ -29,11 +29,11 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use kiss_exec::{eval, Env as _, ExecError, Instr, Module};
+use kiss_exec::{ExecError, Module};
 use kiss_obs::{Obs, Span, TraceId};
-use kiss_seq::config::{fingerprint_of, Config, Frame, SeqEnv};
-use kiss_seq::explicit::resolve_target;
-use kiss_seq::store::{SegId, SegmentInterner, StateId, VisitedTable};
+use kiss_seq::config::{fingerprint_of, Config};
+use kiss_seq::step::{self, Fault, Step};
+use kiss_seq::store::{trace_to, SegId, SegmentInterner, StateId, VisitedTable};
 use kiss_seq::{
     BoundReason, Budget, CancelToken, EngineStats, ErrorTrace, Meter, TraceStep,
 };
@@ -176,108 +176,40 @@ impl<'a> ProductChecker<'a> {
         state.pos.iter().all(|&a| truth(a)) && state.neg.iter().all(|&a| !truth(a))
     }
 
-    /// Executes the single instruction at `config`'s top frame,
-    /// returning every program successor. Mirrors the BFS engine's
-    /// segment semantics at per-instruction granularity (the Büchi
-    /// automaton may branch at every step).
+    /// Executes the single instruction at `config`'s top frame through
+    /// the shared sequential [`step::step`], returning every program
+    /// successor (the Büchi automaton may branch at every step). Two
+    /// policies differ from the safety engines: a false `assert` prunes
+    /// like a false `assume` — assertion failures are the safety
+    /// checker's verdict, and a failed path has no infinite
+    /// continuation — and RAISE branch targets are dropped.
     fn step_config(&self, config: &Config) -> ProgStep {
-        let module = self.module;
-        let Some(frame) = config.stack.last() else {
+        let Some((instr, at)) = step::current(self.module, config) else {
             // Terminated: the final state repeats forever.
             return Ok(vec![(config.clone(), None)]);
         };
-        let (func, pc) = (frame.func, frame.pc);
-        let body = module.body(func);
-        let meta = body.meta[pc];
-        let step = TraceStep { func, pc, origin: meta.origin, span: meta.span };
         let mut config = config.clone();
-        match &body.instrs[pc] {
-            Instr::Assign(place, rv) => {
-                let mut env = SeqEnv { module, config: &mut config };
-                if let Err(e) = eval::exec_assign(&mut env, place, rv) {
-                    return Err((e, step));
-                }
-                config.stack.last_mut().expect("nonempty").pc += 1;
-                Ok(vec![(config, Some(step))])
-            }
-            // In LTL mode a false assert prunes like a false assume:
-            // assertion failures are the safety checker's verdict, and
-            // a failed path has no infinite continuation.
-            Instr::Assert(cond) | Instr::Assume(cond) => {
-                let env = SeqEnv { module, config: &mut config };
-                match eval::eval_cond(&env, cond) {
-                    Ok(false) => Ok(Vec::new()),
-                    Ok(true) => {
-                        config.stack.last_mut().expect("nonempty").pc += 1;
-                        Ok(vec![(config, Some(step))])
-                    }
-                    Err(e) => Err((e, step)),
-                }
-            }
-            Instr::Call { dest, target, args } => {
-                let resolved = {
-                    let env = SeqEnv { module, config: &mut config };
-                    resolve_target(&env, *target).map(|callee| {
-                        let arg_vals: Vec<_> =
-                            args.iter().map(|a| eval::eval_operand(&env, a)).collect();
-                        (callee, arg_vals)
+        match step::step(self.module, &mut config, instr) {
+            Ok(Step::Continue | Step::Finished) => Ok(vec![(config, Some(at))]),
+            Ok(Step::Pruned) | Err(Fault::Assert) => Ok(Vec::new()),
+            Err(Fault::Exec(e)) => Err((e, at)),
+            Ok(Step::Branch(targets)) => {
+                let meta = &self.module.body(at.func).meta;
+                // The transformation's RAISE arms truncate a thread
+                // mid-run — prefix coverage for safety checking. A
+                // truncated thread models an unfinished schedule, not
+                // an infinite behavior, so liveness excludes those
+                // arms: every started thread runs to completion, and
+                // F-obligations are judged only against complete
+                // balanced runs.
+                let kept = targets.iter().filter(|&&t| meta[t].origin != Origin::Raise);
+                Ok(kept
+                    .map(|&t| {
+                        let mut c = config.clone();
+                        c.stack.last_mut().expect("nonempty").pc = t;
+                        (c, Some(at))
                     })
-                };
-                match resolved {
-                    Ok((callee, arg_vals)) => {
-                        config.stack.last_mut().expect("nonempty").pc += 1;
-                        config.stack.push(Frame::enter(module, callee, &arg_vals, *dest));
-                        Ok(vec![(config, Some(step))])
-                    }
-                    Err(e) => Err((e, step)),
-                }
-            }
-            Instr::Async { .. } => Err((ExecError::AsyncInSequential, step)),
-            Instr::Return(op) => {
-                let ret = {
-                    let env = SeqEnv { module, config: &mut config };
-                    op.map(|o| eval::eval_operand(&env, &o))
-                        .unwrap_or(kiss_exec::Value::Null)
-                };
-                let finished = config.stack.pop().expect("nonempty");
-                if !config.stack.is_empty() {
-                    if let Some(dest) = finished.dest {
-                        let mut env = SeqEnv { module, config: &mut config };
-                        if let Err(e) =
-                            eval::place_addr(&env, &dest).and_then(|a| env.write_addr(a, ret))
-                        {
-                            return Err((e, step));
-                        }
-                    }
-                }
-                Ok(vec![(config, Some(step))])
-            }
-            Instr::Jump(t) => {
-                config.stack.last_mut().expect("nonempty").pc = *t;
-                Ok(vec![(config, Some(step))])
-            }
-            Instr::NondetJump(targets) => {
-                let mut out = Vec::with_capacity(targets.len());
-                for &t in targets {
-                    // The transformation's RAISE arms truncate a thread
-                    // mid-run — prefix coverage for safety checking. A
-                    // truncated thread models an unfinished schedule,
-                    // not an infinite behavior, so liveness excludes
-                    // those arms: every started thread runs to
-                    // completion, and F-obligations are judged only
-                    // against complete balanced runs.
-                    if body.meta[t].origin == Origin::Raise {
-                        continue;
-                    }
-                    let mut c = config.clone();
-                    c.stack.last_mut().expect("nonempty").pc = t;
-                    out.push((c, Some(step)));
-                }
-                Ok(out)
-            }
-            Instr::AtomicBegin | Instr::AtomicEnd => {
-                config.stack.last_mut().expect("nonempty").pc += 1;
-                Ok(vec![(config, Some(step))])
+                    .collect())
             }
         }
     }
@@ -411,7 +343,7 @@ impl<'a> ProductChecker<'a> {
                 let expanded = pre.unwrap_or_else(|| self.expand(config, *q));
                 match expanded {
                     Err((e, step)) => {
-                        let mut steps = Self::reconstruct(&parents, &interner, *id);
+                        let mut steps = trace_to(&interner, *id, |id| parents[id.0 as usize]);
                         steps.push(step);
                         let trace =
                             ErrorTrace { steps, globals: config.mem.globals.to_vec() };
@@ -458,27 +390,6 @@ impl<'a> ProductChecker<'a> {
             Some(l) => (LtlVerdict::Violated(l), stats!()),
             None => (LtlVerdict::Holds, stats!()),
         }
-    }
-
-    fn reconstruct(
-        parents: &[(StateId, SegId)],
-        interner: &SegmentInterner,
-        mut id: StateId,
-    ) -> Vec<TraceStep> {
-        let mut segs: Vec<SegId> = Vec::new();
-        loop {
-            let (p, s) = parents[id.0 as usize];
-            if p == id {
-                break;
-            }
-            segs.push(s);
-            id = p;
-        }
-        let mut steps = Vec::new();
-        for &s in segs.iter().rev() {
-            steps.extend_from_slice(interner.get(s));
-        }
-        steps
     }
 
     /// Iterative Tarjan SCC + deterministic counterexample selection:
@@ -600,7 +511,7 @@ impl<'a> ProductChecker<'a> {
                 }
             }
         }
-        let stem = Self::reconstruct(parents, interner, StateId(anchor));
+        let stem = trace_to(interner, StateId(anchor), |id| parents[id.0 as usize]);
         let mut cycle = Vec::new();
         for &s in &cycle_segs.expect("set above") {
             cycle.extend_from_slice(interner.get(s));

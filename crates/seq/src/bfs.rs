@@ -11,90 +11,56 @@
 //! The BFS frontier stores whole configurations, so it trades memory
 //! for trace quality; prefer the DFS engine for pure verdicts.
 //!
-//! State bookkeeping lives behind [`StoreKind`]: the default `cow`
-//! store keys an open-addressing [`VisitedTable`] on **split
+//! The state store keys an open-addressing [`VisitedTable`] on **split
 //! fingerprints** (the shared part of a branch's alternatives is hashed
 //! once, each alternative finishes in O(1)), indexes the parent map by
 //! dense [`StateId`]s, and interns the per-edge trace segments — the
-//! `schedule()` preambles repeat heavily, so the historical owned
-//! `Vec<TraceStep>` clone per edge stored the same steps once per edge
-//! instead of once per distinct segment. `legacy` keeps the historical
-//! `HashSet` + owned-clone storage as the equivalence oracle.
+//! `schedule()` preambles repeat heavily, so an owned segment per edge
+//! would store the same steps once per edge instead of once per
+//! distinct segment.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use kiss_exec::{eval, Env as _, Instr, Module, Value};
+use kiss_exec::Module;
 use kiss_obs::Obs;
 
-use crate::budget::{BoundReason, Budget, Meter, BYTES_PER_FINGERPRINT};
+use crate::budget::{BoundReason, Budget, Meter};
 use crate::cancel::CancelToken;
-use crate::config::{Config, Frame, SeqEnv};
-use crate::explicit::resolve_target;
+use crate::config::Config;
 use crate::stats::EngineStats;
+use crate::step::{self, Fault, Step};
 use crate::store::{
-    SegId, SegmentInterner, ShardedVisitedTable, StateCapExceeded, StateId, StoreKind,
+    trace_to, SegId, SegmentInterner, ShardedVisitedTable, StateCapExceeded, StateId,
     VisitedTable,
 };
 use crate::verdict::{ErrorTrace, TraceStep, Verdict};
 
-/// Parent map over decision points: child fingerprint ->
-/// (parent fingerprint, steps taken between them).
-type ParentMap = HashMap<(u64, u64), ((u64, u64), Vec<TraceStep>)>;
-
-/// A frontier node's handle into the active store.
-#[derive(Clone, Copy)]
-enum NodeKey {
-    /// Legacy store: the node's full fingerprint.
-    Fp(u64, u64),
-    /// Cow store: the node's dense id in the visited table.
-    Id(StateId),
+/// The serial search's state storage.
+struct Store {
+    visited: VisitedTable,
+    /// Parent edge per [`StateId`]; the root is its own parent — the
+    /// reconstruction walk's termination sentinel.
+    parents: Vec<(StateId, SegId)>,
+    /// The trace segments the parent edges name.
+    interner: SegmentInterner,
 }
 
-/// The per-run state storage, selected by [`StoreKind`].
-enum BfsStore {
-    Legacy {
-        visited: HashSet<(u64, u64)>,
-        parents: ParentMap,
-    },
-    Cow {
-        visited: VisitedTable,
-        /// Indexed by [`StateId`]; the root is its own parent.
-        parents: Vec<(StateId, SegId)>,
-        interner: SegmentInterner,
-    },
-}
-
-impl BfsStore {
-    fn len(&self) -> usize {
-        match self {
-            BfsStore::Legacy { visited, .. } => visited.len(),
-            BfsStore::Cow { visited, .. } => visited.len(),
-        }
+impl Store {
+    /// Exact bytes held by visited + parent storage.
+    fn bytes(&self) -> usize {
+        self.visited.bytes()
+            + self.parents.capacity() * std::mem::size_of::<(StateId, SegId)>()
+            + self.interner.bytes()
     }
 
-    /// Bytes held by visited + parent storage: exact for the cow
-    /// store, the historical estimate plus owned-segment sizes for
-    /// legacy.
-    fn bytes(&self) -> usize {
-        match self {
-            BfsStore::Legacy { visited, parents } => {
-                visited.len() * BYTES_PER_FINGERPRINT
-                    + parents
-                        .values()
-                        .map(|(_, steps)| {
-                            BYTES_PER_FINGERPRINT
-                                + steps.capacity() * std::mem::size_of::<TraceStep>()
-                        })
-                        .sum::<usize>()
-            }
-            BfsStore::Cow { visited, parents, interner } => {
-                visited.bytes()
-                    + parents.capacity() * std::mem::size_of::<(StateId, SegId)>()
-                    + interner.bytes()
-            }
-        }
+    /// The full trace to the node `id` followed by `tail` — rebuilt
+    /// lazily, only when a violation is actually reported.
+    fn trace(&self, id: StateId, tail: Vec<TraceStep>) -> ErrorTrace {
+        let mut steps = trace_to(&self.interner, id, |id| self.parents[id.0 as usize]);
+        steps.extend(tail);
+        ErrorTrace { steps, globals: Vec::new() }
     }
 }
 
@@ -105,7 +71,6 @@ pub struct BfsChecker<'a> {
     budget: Budget,
     cancel: CancelToken,
     obs: Obs,
-    store: StoreKind,
     jobs: usize,
     state_cap: Option<u32>,
 }
@@ -118,22 +83,14 @@ impl<'a> BfsChecker<'a> {
             budget: Budget::default(),
             cancel: CancelToken::default(),
             obs: Obs::off(),
-            store: StoreKind::default(),
             jobs: 1,
             state_cap: None,
         }
     }
 
-    /// Selects the state-storage implementation.
-    pub fn with_store(mut self, store: StoreKind) -> Self {
-        self.store = store;
-        self
-    }
-
     /// Explores with `jobs` worker threads (clamped to at least one).
-    /// Only the `cow` store supports parallel exploration; the legacy
-    /// store ignores this and stays serial. Results are byte-identical
-    /// to a serial run regardless of the worker count.
+    /// Results are byte-identical to a serial run regardless of the
+    /// worker count.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
         self
@@ -174,7 +131,7 @@ impl<'a> BfsChecker<'a> {
 
     /// Runs the check, also returning statistics.
     pub fn check_with_stats(&self) -> (Verdict, EngineStats) {
-        if self.jobs > 1 && self.store == StoreKind::Cow {
+        if self.jobs > 1 {
             return self.check_parallel_with_stats();
         }
         // The frontier stores whole configurations; charge a coarse
@@ -184,39 +141,25 @@ impl<'a> BfsChecker<'a> {
             .with_observer(self.obs.clone(), "bfs");
         let mut frontier_peak = 1usize;
         let root = Config::initial(self.module);
-        let mut frontier: VecDeque<(Config, NodeKey)> = VecDeque::new();
-        let mut store = match self.store {
-            StoreKind::Legacy => {
-                let root_fp = root.fingerprint();
-                let mut visited = HashSet::new();
-                visited.insert(root_fp);
-                frontier.push_back((root, NodeKey::Fp(root_fp.0, root_fp.1)));
-                BfsStore::Legacy { visited, parents: HashMap::new() }
-            }
-            StoreKind::Cow => {
-                let root_fp = root.fingerprint_base().with_pc(root.top_pc());
-                let mut visited = match self.state_cap {
-                    Some(cap) => VisitedTable::new().with_capacity_limit(cap),
-                    None => VisitedTable::new(),
-                };
-                let (root_id, _) =
-                    visited.insert(root_fp).expect("an empty table is never at capacity");
-                frontier.push_back((root, NodeKey::Id(root_id)));
-                BfsStore::Cow {
-                    visited,
-                    // The root is its own parent — the reconstruction
-                    // walk's termination sentinel.
-                    parents: vec![(root_id, SegId::EMPTY)],
-                    interner: SegmentInterner::new(),
-                }
-            }
+        let mut visited = match self.state_cap {
+            Some(cap) => VisitedTable::new().with_capacity_limit(cap),
+            None => VisitedTable::new(),
         };
+        let (root_id, _) = visited
+            .insert(root.fingerprint_base().with_pc(root.top_pc()))
+            .expect("an empty table is never at capacity");
+        let mut store = Store {
+            visited,
+            parents: vec![(root_id, SegId::EMPTY)],
+            interner: SegmentInterner::new(),
+        };
+        let mut frontier: VecDeque<(Config, StateId)> = VecDeque::from([(root, root_id)]);
 
-        let stats = |meter: &Meter, store: &BfsStore, frontier_peak: usize| EngineStats {
+        let stats = |meter: &Meter, store: &Store, frontier_peak: usize| EngineStats {
             steps: meter.usage.steps,
-            states: store.len(),
+            states: store.visited.len(),
             frontier_peak,
-            states_stored: store.len(),
+            states_stored: store.visited.len(),
             store_bytes: store.bytes(),
             speculative_steps: meter.usage.steps,
             ..EngineStats::default()
@@ -225,118 +168,69 @@ impl<'a> BfsChecker<'a> {
         // Segment steps accumulate into one scratch buffer reused
         // across segments instead of a fresh allocation per segment.
         let mut steps: Vec<TraceStep> = Vec::with_capacity(64);
-        while let Some((config, key)) = frontier.pop_front() {
+        while let Some((config, parent_id)) = frontier.pop_front() {
             // Run the segment to the next decision point (or to an
             // end), collecting its steps.
             match self.run_segment(config, &mut meter, &mut steps) {
                 SegmentEnd::Budget(reason) => {
-                    return (
-                        Verdict::ResourceBound {
-                            steps: meter.usage.steps,
-                            states: meter.usage.states,
-                            reason,
-                        },
-                        stats(&meter, &store, frontier_peak),
-                    )
+                    return (meter.bound(reason), stats(&meter, &store, frontier_peak))
                 }
-                SegmentEnd::Error(mk) => {
-                    let trace = Self::reconstruct(&store, key, std::mem::take(&mut steps));
-                    return (mk(trace), stats(&meter, &store, frontier_peak));
+                SegmentEnd::Error(fault) => {
+                    let trace = store.trace(parent_id, std::mem::take(&mut steps));
+                    return (fault.verdict(trace), stats(&meter, &store, frontier_peak));
                 }
                 SegmentEnd::Done => {}
-                SegmentEnd::Branch(mut config) => {
+                SegmentEnd::Branch(mut config, targets) => {
                     // The config is parked on its NondetJump; the
                     // alternatives differ only in the top pc, so each
                     // is fingerprinted *before* it exists — by steering
                     // the parked config's pc — and only genuinely new
-                    // states pay for a clone.
-                    let frame = config.stack.last().expect("nonempty at a branch");
-                    let body = self.module.body(frame.func);
-                    let Instr::NondetJump(targets) = &body.instrs[frame.pc] else {
-                        unreachable!("Branch ends only at a NondetJump")
-                    };
+                    // states pay for a clone. The shared part is hashed
+                    // once; the edge segment is interned only when some
+                    // alternative is new; the last new alternative
+                    // inherits the parked config instead of cloning it.
+                    let base = config.fingerprint_base();
+                    let mut seg = None;
+                    let mut pending = None;
                     let mut capped = false;
-                    match &mut store {
-                        BfsStore::Legacy { visited, parents } => {
-                            let NodeKey::Fp(f0, f1) = key else {
-                                unreachable!("legacy store hands out Fp keys")
-                            };
-                            for &t in targets {
-                                config.stack.last_mut().expect("nonempty").pc = t;
-                                let afp = config.fingerprint();
-                                if visited.insert(afp) {
-                                    meter.note_states(visited.len());
-                                    parents.insert(afp, ((f0, f1), steps.clone()));
-                                    frontier
-                                        .push_back((config.clone(), NodeKey::Fp(afp.0, afp.1)));
-                                }
+                    for &t in targets {
+                        let afp = base.with_pc(t);
+                        let (id, new) = match store.visited.insert(afp) {
+                            Ok(entry) => entry,
+                            Err(StateCapExceeded) => {
+                                capped = true;
+                                break;
+                            }
+                        };
+                        if new {
+                            meter.note_states(store.visited.len());
+                            debug_assert_eq!(store.parents.len(), id.0 as usize);
+                            let seg = *seg.get_or_insert_with(|| store.interner.intern(&steps));
+                            store.parents.push((parent_id, seg));
+                            if let Some((pt, pid)) = pending.replace((t, id)) {
+                                let mut c = config.clone();
+                                c.stack.last_mut().expect("nonempty").pc = pt;
+                                frontier.push_back((c, pid));
                             }
                         }
-                        BfsStore::Cow { visited, parents, interner } => {
-                            let NodeKey::Id(parent_id) = key else {
-                                unreachable!("cow store hands out Id keys")
-                            };
-                            // Hash the shared part once; intern the edge
-                            // segment only when some alternative is new.
-                            // The last new alternative inherits the
-                            // parked config instead of cloning it.
-                            let base = config.fingerprint_base();
-                            let mut seg = None;
-                            let mut pending = None;
-                            for &t in targets {
-                                let afp = base.with_pc(t);
-                                let (id, new) = match visited.insert(afp) {
-                                    Ok(entry) => entry,
-                                    Err(StateCapExceeded) => {
-                                        capped = true;
-                                        break;
-                                    }
-                                };
-                                if new {
-                                    meter.note_states(visited.len());
-                                    debug_assert_eq!(parents.len(), id.0 as usize);
-                                    let seg =
-                                        *seg.get_or_insert_with(|| interner.intern(&steps));
-                                    parents.push((parent_id, seg));
-                                    if let Some((pt, pid)) = pending.replace((t, id)) {
-                                        let mut c = config.clone();
-                                        c.stack.last_mut().expect("nonempty").pc = pt;
-                                        frontier.push_back((c, NodeKey::Id(pid)));
-                                    }
-                                }
-                            }
-                            if let Some((pt, pid)) = pending {
-                                config.stack.last_mut().expect("nonempty").pc = pt;
-                                frontier.push_back((config, NodeKey::Id(pid)));
-                            }
-                        }
+                    }
+                    if let Some((pt, pid)) = pending {
+                        config.stack.last_mut().expect("nonempty").pc = pt;
+                        frontier.push_back((config, pid));
                     }
                     if capped {
                         // The id space is structural: retrying with a
                         // larger budget cannot widen it, so the typed
                         // reason marks this non-retryable.
                         meter.emit_violation(BoundReason::StateCap);
-                        return (
-                            Verdict::ResourceBound {
-                                steps: meter.usage.steps,
-                                states: meter.usage.states,
-                                reason: BoundReason::StateCap,
-                            },
-                            stats(&meter, &store, frontier_peak),
-                        );
+                        let stats = stats(&meter, &store, frontier_peak);
+                        return (meter.bound(BoundReason::StateCap), stats);
                     }
                     frontier_peak = frontier_peak.max(frontier.len());
                 }
             }
             if let Some(reason) = meter.over_budget() {
-                return (
-                    Verdict::ResourceBound {
-                        steps: meter.usage.steps,
-                        states: meter.usage.states,
-                        reason,
-                    },
-                    stats(&meter, &store, frontier_peak),
-                );
+                return (meter.bound(reason), stats(&meter, &store, frontier_peak));
             }
         }
         (Verdict::Pass, stats(&meter, &store, frontier_peak))
@@ -416,7 +310,7 @@ impl<'a> BfsChecker<'a> {
                         let stats = pstats(
                             &meter, committed, frontier_peak, &store, &interner, &speculated,
                         );
-                        return (resource_bound(BoundReason::Steps, &meter), stats);
+                        return (meter.bound(BoundReason::Steps), stats);
                     }
                     Spec::Budget { reason, executed } => {
                         // Wall-clock (deadline/cancel) or structural
@@ -428,17 +322,17 @@ impl<'a> BfsChecker<'a> {
                         let stats = pstats(
                             &meter, committed, frontier_peak, &store, &interner, &speculated,
                         );
-                        return (resource_bound(reason, &meter), stats);
+                        return (meter.bound(reason), stats);
                     }
                     Spec::Done { seg_steps } => {
                         if let Err(reason) = meter.advance(seg_steps) {
                             let stats = pstats(
                                 &meter, committed, frontier_peak, &store, &interner, &speculated,
                             );
-                            return (resource_bound(reason, &meter), stats);
+                            return (meter.bound(reason), stats);
                         }
                     }
-                    Spec::Error { seg_steps, parent, seg, mk } => {
+                    Spec::Error { seg_steps, parent, seg, fault } => {
                         // A step trip strictly before the erroring
                         // instruction wins, exactly like the serial
                         // interleaving of ticks and execution.
@@ -446,20 +340,21 @@ impl<'a> BfsChecker<'a> {
                             let stats = pstats(
                                 &meter, committed, frontier_peak, &store, &interner, &speculated,
                             );
-                            return (resource_bound(reason, &meter), stats);
+                            return (meter.bound(reason), stats);
                         }
-                        let trace = reconstruct_sharded(&store, &interner, parent, seg);
+                        let mut steps = trace_to(&interner, parent, |id| store.parent(id));
+                        steps.extend(seg);
                         let stats = pstats(
                             &meter, committed, frontier_peak, &store, &interner, &speculated,
                         );
-                        return (mk(trace), stats);
+                        return (fault.verdict(ErrorTrace { steps, globals: Vec::new() }), stats);
                     }
                     Spec::Branch { seg_steps, parent, seg, children } => {
                         if let Err(reason) = meter.advance(seg_steps) {
                             let stats = pstats(
                                 &meter, committed, frontier_peak, &store, &interner, &speculated,
                             );
-                            return (resource_bound(reason, &meter), stats);
+                            return (meter.bound(reason), stats);
                         }
                         let mut seg_id = None;
                         for (tidx, id) in children.into_iter().enumerate() {
@@ -483,7 +378,7 @@ impl<'a> BfsChecker<'a> {
                             let stats = pstats(
                                 &meter, committed, frontier_peak, &store, &interner, &speculated,
                             );
-                            return (resource_bound(reason, &meter), stats);
+                            return (meter.bound(reason), stats);
                         }
                     }
                 }
@@ -612,18 +507,13 @@ impl<'a> BfsChecker<'a> {
                 let executed = spec_meter.usage.steps;
                 (Spec::Done { seg_steps: executed }, executed)
             }
-            SegmentEnd::Error(mk) => {
+            SegmentEnd::Error(fault) => {
                 let executed = spec_meter.usage.steps;
-                (Spec::Error { seg_steps: executed, parent: id, seg, mk }, executed)
+                (Spec::Error { seg_steps: executed, parent: id, seg, fault }, executed)
             }
-            SegmentEnd::Branch(mut config) => {
+            SegmentEnd::Branch(mut config, targets) => {
                 let executed = spec_meter.usage.steps;
-                let frame = config.stack.last().expect("nonempty at a branch");
-                let body = self.module.body(frame.func);
-                let Instr::NondetJump(targets) = &body.instrs[frame.pc] else {
-                    unreachable!("Branch ends only at a NondetJump")
-                };
-                // Same pending-shift as the serial cow path: each new
+                // Same pending-shift as the serial path: each new
                 // state the *creator* parks a clone for, except the
                 // last, which inherits the parked config.
                 let base = config.fingerprint_base();
@@ -659,185 +549,47 @@ impl<'a> BfsChecker<'a> {
         }
     }
 
-    /// Rebuilds the full trace for the node at `key` by walking parent
-    /// edges back to the root — lazily, only when a violation is
-    /// actually reported.
-    fn reconstruct(store: &BfsStore, key: NodeKey, tail: Vec<TraceStep>) -> ErrorTrace {
-        let steps = match (store, key) {
-            (BfsStore::Legacy { parents, .. }, NodeKey::Fp(f0, f1)) => {
-                let mut fp = (f0, f1);
-                let mut segments = vec![tail];
-                while let Some((parent, steps)) = parents.get(&fp) {
-                    segments.push(steps.clone());
-                    fp = *parent;
-                }
-                segments.reverse();
-                segments.concat()
-            }
-            (BfsStore::Cow { parents, interner, .. }, NodeKey::Id(mut id)) => {
-                let mut segments: Vec<SegId> = Vec::new();
-                loop {
-                    let (parent, seg) = parents[id.0 as usize];
-                    if parent == id {
-                        break;
-                    }
-                    segments.push(seg);
-                    id = parent;
-                }
-                let total: usize =
-                    segments.iter().map(|&s| interner.get(s).len()).sum();
-                let mut steps = Vec::with_capacity(total + tail.len());
-                for &seg in segments.iter().rev() {
-                    steps.extend_from_slice(interner.get(seg));
-                }
-                steps.extend(tail);
-                steps
-            }
-            _ => unreachable!("store and key kinds always match"),
-        };
-        ErrorTrace { steps, globals: Vec::new() }
-    }
-
     /// Runs deterministically until the next NondetJump (returning the
-    /// successor configs), an error, an end, or the budget. The
+    /// parked configuration), an error, an end, or the budget. The
     /// executed steps land in `steps` (cleared first), which the caller
     /// reuses across segments.
-    ///
-    /// Like the DFS engine, instructions are borrowed from the module
-    /// body instead of cloned per executed step — `Call` argument lists
-    /// and `NondetJump` target vectors are heap-backed.
     fn run_segment(
         &self,
         mut config: Config,
         meter: &mut Meter,
         steps: &mut Vec<TraceStep>,
-    ) -> SegmentEnd {
-        let module = self.module;
+    ) -> SegmentEnd<'a> {
         steps.clear();
         loop {
-            let Some(frame) = config.stack.last() else {
+            let Some((instr, at)) = step::current(self.module, &config) else {
                 return SegmentEnd::Done;
             };
             if let Err(reason) = meter.tick() {
                 return SegmentEnd::Budget(reason);
             }
-            let func = frame.func;
-            let pc = frame.pc;
-            let body = module.body(func);
-            let meta = body.meta[pc];
-            steps.push(TraceStep { func, pc, origin: meta.origin, span: meta.span });
-            match &body.instrs[pc] {
-                Instr::Assign(place, rv) => {
-                    let mut env = SeqEnv { module, config: &mut config };
-                    if let Err(e) = eval::exec_assign(&mut env, place, rv) {
-                        return SegmentEnd::Error(
-                            Box::new(move |t| Verdict::RuntimeError(e, t)),
-                        );
-                    }
-                    config.stack.last_mut().expect("nonempty").pc += 1;
-                }
-                Instr::Assert(cond) => {
-                    let env = SeqEnv { module, config: &mut config };
-                    match eval::eval_cond(&env, cond) {
-                        Ok(true) => config.stack.last_mut().expect("nonempty").pc += 1,
-                        Ok(false) => return SegmentEnd::Error(Box::new(Verdict::Fail)),
-                        Err(e) => {
-                            return SegmentEnd::Error(
-                                Box::new(move |t| Verdict::RuntimeError(e, t)),
-                            )
-                        }
-                    }
-                }
-                Instr::Assume(cond) => {
-                    let env = SeqEnv { module, config: &mut config };
-                    match eval::eval_cond(&env, cond) {
-                        Ok(true) => config.stack.last_mut().expect("nonempty").pc += 1,
-                        Ok(false) => return SegmentEnd::Done,
-                        Err(e) => {
-                            return SegmentEnd::Error(
-                                Box::new(move |t| Verdict::RuntimeError(e, t)),
-                            )
-                        }
-                    }
-                }
-                Instr::Call { dest, target, args } => {
-                    // One env borrow resolves the callee and evaluates
-                    // the arguments together.
-                    let resolved = {
-                        let env = SeqEnv { module, config: &mut config };
-                        resolve_target(&env, *target).map(|callee| {
-                            let arg_vals: Vec<Value> =
-                                args.iter().map(|a| eval::eval_operand(&env, a)).collect();
-                            (callee, arg_vals)
-                        })
-                    };
-                    match resolved {
-                        Ok((callee, arg_vals)) => {
-                            config.stack.last_mut().expect("nonempty").pc += 1;
-                            config.stack.push(Frame::enter(module, callee, &arg_vals, *dest));
-                        }
-                        Err(e) => {
-                            return SegmentEnd::Error(
-                                Box::new(move |t| Verdict::RuntimeError(e, t)),
-                            )
-                        }
-                    }
-                }
-                Instr::Async { .. } => {
-                    let e = kiss_exec::ExecError::AsyncInSequential;
-                    return SegmentEnd::Error(
-                        Box::new(move |t| Verdict::RuntimeError(e, t)),
-                    );
-                }
-                Instr::Return(op) => {
-                    let ret = {
-                        let env = SeqEnv { module, config: &mut config };
-                        op.map(|o| eval::eval_operand(&env, &o)).unwrap_or(Value::Null)
-                    };
-                    let finished = config.stack.pop().expect("nonempty");
-                    if config.stack.is_empty() {
-                        return SegmentEnd::Done;
-                    }
-                    if let Some(dest) = finished.dest {
-                        let mut env = SeqEnv { module, config: &mut config };
-                        match eval::place_addr(&env, &dest).and_then(|a| env.write_addr(a, ret)) {
-                            Ok(()) => {}
-                            Err(e) => {
-                                return SegmentEnd::Error(
-                                    Box::new(move |t| Verdict::RuntimeError(e, t)),
-                                )
-                            }
-                        }
-                    }
-                }
-                Instr::Jump(t) => {
-                    config.stack.last_mut().expect("nonempty").pc = *t;
-                }
-                Instr::NondetJump(_) => {
-                    // Hand the parked config back; the caller steers its
-                    // pc through the targets, cloning only new states.
-                    return SegmentEnd::Branch(config);
-                }
-                Instr::AtomicBegin | Instr::AtomicEnd => {
-                    config.stack.last_mut().expect("nonempty").pc += 1;
-                }
+            steps.push(at);
+            match step::step(self.module, &mut config, instr) {
+                Ok(Step::Continue) => {}
+                Ok(Step::Finished | Step::Pruned) => return SegmentEnd::Done,
+                // Hand the parked config back; the caller steers its pc
+                // through the targets, cloning only new states.
+                Ok(Step::Branch(targets)) => return SegmentEnd::Branch(config, targets),
+                Err(fault) => return SegmentEnd::Error(fault),
             }
         }
     }
 }
 
-enum SegmentEnd {
+enum SegmentEnd<'m> {
     /// Segment finished (termination or pruned assume).
     Done,
     /// Hit a nondeterministic branch: the configuration parked on its
-    /// `NondetJump`. The segment's steps are in the caller's scratch
-    /// buffer.
-    Branch(Config),
-    /// An error; the closure builds the verdict from the full trace
-    /// (whose tail is the caller's scratch buffer). `Send` because a
-    /// parallel exploration ships it from the worker that found the
-    /// error to the committing thread.
-    Error(Box<dyn FnOnce(ErrorTrace) -> Verdict + Send>),
+    /// `NondetJump`, and the jump's targets. The segment's steps are in
+    /// the caller's scratch buffer.
+    Branch(Config, &'m [usize]),
+    /// An assertion failure or runtime error; the verdict's trace ends
+    /// with the caller's scratch buffer.
+    Error(Fault),
     /// Out of budget, with the axis that tripped.
     Budget(BoundReason),
 }
@@ -848,12 +600,7 @@ enum Spec {
     Done { seg_steps: u64 },
     /// Segment errored after `seg_steps` instructions; `seg` is the
     /// trace tail from the layer node `parent`.
-    Error {
-        seg_steps: u64,
-        parent: StateId,
-        seg: Vec<TraceStep>,
-        mk: Box<dyn FnOnce(ErrorTrace) -> Verdict + Send>,
-    },
+    Error { seg_steps: u64, parent: StateId, seg: Vec<TraceStep>, fault: Fault },
     /// Segment reached a branch; `children` are the claimed successor
     /// ids in target order (winners are decided at commit).
     Branch { seg_steps: u64, parent: StateId, seg: Vec<TraceStep>, children: Vec<StateId> },
@@ -897,44 +644,11 @@ fn pstats(
     }
 }
 
-fn resource_bound(reason: BoundReason, meter: &Meter) -> Verdict {
-    Verdict::ResourceBound {
-        steps: meter.usage.steps,
-        states: meter.usage.states,
-        reason,
-    }
-}
-
-/// The sharded-store analogue of [`BfsChecker::reconstruct`]: walks
-/// committed parent edges from `id` back to the self-parented root.
-fn reconstruct_sharded(
-    store: &ShardedVisitedTable<Config>,
-    interner: &SegmentInterner,
-    mut id: StateId,
-    tail: Vec<TraceStep>,
-) -> ErrorTrace {
-    let mut segments: Vec<SegId> = Vec::new();
-    loop {
-        let (parent, seg) = store.parent(id);
-        if parent == id {
-            break;
-        }
-        segments.push(seg);
-        id = parent;
-    }
-    let total: usize = segments.iter().map(|&s| interner.get(s).len()).sum();
-    let mut steps = Vec::with_capacity(total + tail.len());
-    for &seg in segments.iter().rev() {
-        steps.extend_from_slice(interner.get(seg));
-    }
-    steps.extend(tail);
-    ErrorTrace { steps, globals: Vec::new() }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::explicit::ExplicitChecker;
+    use kiss_exec::Instr;
     use kiss_lang::parse_and_lower;
 
     fn module(src: &str) -> Module {
@@ -956,35 +670,6 @@ mod tests {
             let dfs = ExplicitChecker::new(&m).check();
             assert_eq!(bfs.is_fail(), fails, "bfs on {src}: {bfs:?}");
             assert_eq!(dfs.is_fail(), fails, "dfs on {src}: {dfs:?}");
-        }
-    }
-
-    #[test]
-    fn legacy_and_cow_stores_explore_identically() {
-        let corpus = [
-            "int g; void main() { g = 1; assert g == 1; }",
-            "int g; void main() { g = 1; assert g == 2; }",
-            "int g; void main() { choice { g = 1; [] g = 2; } assert g == 1; }",
-            "int g; void main() { iter { g = g + 1; assume g <= 3; } assert g <= 3; }",
-            "int g; void main() { iter { g = g + 1; assume g <= 3; } assert g < 3; }",
-            "int g;
-             int pick() { choice { return 1; [] return 2; } }
-             void main() { int x; x = pick(); g = x; assert g == 1; }",
-        ];
-        for src in corpus {
-            let m = module(src);
-            let (lv, ls) =
-                BfsChecker::new(&m).with_store(StoreKind::Legacy).check_with_stats();
-            let (cv, cs) = BfsChecker::new(&m).with_store(StoreKind::Cow).check_with_stats();
-            // Everything the search *observes* is identical; only the
-            // store's byte accounting may differ between the two
-            // representations.
-            assert_eq!(lv, cv, "verdicts diverge on {src}");
-            assert_eq!(ls.steps, cs.steps, "steps diverge on {src}");
-            assert_eq!(ls.states, cs.states, "states diverge on {src}");
-            assert_eq!(ls.paths, cs.paths, "paths diverge on {src}");
-            assert_eq!(ls.frontier_peak, cs.frontier_peak, "frontier diverges on {src}");
-            assert_eq!(ls.states_stored, cs.states_stored, "stored diverge on {src}");
         }
     }
 
@@ -1186,19 +871,6 @@ mod tests {
         let Verdict::ResourceBound { reason, states, .. } = v else { panic!("{v:?}") };
         assert_eq!(reason, BoundReason::StateCap);
         assert!(states <= 1, "nothing past the cap is stored");
-    }
-
-    #[test]
-    fn legacy_store_ignores_jobs_and_stays_serial() {
-        let m = module("int g; void main() { choice { g = 1; [] g = 2; } assert g == 1; }");
-        let (sv, ss) =
-            BfsChecker::new(&m).with_store(StoreKind::Legacy).check_with_stats();
-        let (pv, ps) = BfsChecker::new(&m)
-            .with_store(StoreKind::Legacy)
-            .with_jobs(4)
-            .check_with_stats();
-        assert_eq!(sv, pv);
-        assert_eq!(ss, ps);
     }
 
     #[test]

@@ -220,6 +220,16 @@ impl Meter {
         }
     }
 
+    /// The inconclusive verdict for a trip on `reason` at the current
+    /// usage.
+    pub fn bound(&self, reason: BoundReason) -> crate::verdict::Verdict {
+        crate::verdict::Verdict::ResourceBound {
+            steps: self.usage.steps,
+            states: self.usage.states,
+            reason,
+        }
+    }
+
     /// Overrides the per-state size estimate (engines that store whole
     /// configurations rather than fingerprints pass a larger number).
     pub fn with_state_size(mut self, bytes_per_state: usize) -> Self {

@@ -24,17 +24,23 @@ impl Frame {
     /// A frame entering `func` with the given arguments; remaining
     /// locals are defaulted per their declared types.
     pub fn enter(module: &Module, func: FuncId, args: &[Value], dest: Option<Place>) -> Frame {
-        let def = module.program.func(func);
-        let mut locals: Vec<Value> = Vec::with_capacity(def.locals.len());
-        for (i, l) in def.locals.iter().enumerate() {
-            if i < args.len() {
-                locals.push(args[i]);
-            } else {
-                locals.push(Value::default_for(l.ty.as_ref()));
-            }
-        }
-        Frame { func, pc: 0, locals, dest }
+        Frame { func, pc: 0, locals: entry_locals(module, func, args.iter().copied()), dest }
     }
+}
+
+/// The locals `func` starts with: `args` bind its leading locals (the
+/// parameters), every other local starts at its type's default.
+pub(crate) fn entry_locals(
+    module: &Module,
+    func: FuncId,
+    args: impl ExactSizeIterator<Item = Value>,
+) -> Vec<Value> {
+    let defs = &module.program.func(func).locals;
+    let bound = args.len().min(defs.len());
+    let mut locals = Vec::with_capacity(defs.len());
+    locals.extend(args.take(bound));
+    locals.extend(defs[bound..].iter().map(|l| Value::default_for(l.ty.as_ref())));
+    locals
 }
 
 /// The whole sequential state: memory plus the call stack.

@@ -6,15 +6,15 @@
 //! the engine KISS feeds the sequentialized program to, playing the
 //! role SLAM plays in the paper's Figure 1.
 
-use kiss_exec::{eval, Env, Instr, Module, Value};
-use kiss_lang::hir::{CallTarget, FuncId};
+use kiss_exec::{Instr, Module};
 use kiss_obs::Obs;
 
 use crate::budget::{BoundReason, Budget, Meter};
 use crate::cancel::CancelToken;
-use crate::config::{Config, Frame, SeqEnv};
+use crate::config::Config;
 use crate::stats::EngineStats;
-use crate::store::{StoreKind, VisitedSet};
+use crate::step::{self, Step};
+use crate::store::{StateCapExceeded, VisitedTable};
 use crate::verdict::{ErrorTrace, TraceStep, Verdict};
 
 /// The explicit-state checker.
@@ -24,7 +24,6 @@ pub struct ExplicitChecker<'a> {
     budget: Budget,
     cancel: CancelToken,
     obs: Obs,
-    store: StoreKind,
 }
 
 impl<'a> ExplicitChecker<'a> {
@@ -35,15 +34,7 @@ impl<'a> ExplicitChecker<'a> {
             budget: Budget::default(),
             cancel: CancelToken::default(),
             obs: Obs::off(),
-            store: StoreKind::default(),
         }
-    }
-
-    /// Selects the state-storage implementation: the interned
-    /// open-addressing table (default) or the legacy `HashSet`.
-    pub fn with_store(mut self, store: StoreKind) -> Self {
-        self.store = store;
-        self
     }
 
     /// Replaces the budget.
@@ -78,14 +69,13 @@ impl<'a> ExplicitChecker<'a> {
             module: self.module,
             meter: Meter::new(self.budget, self.cancel.clone())
                 .with_observer(self.obs.clone(), "explicit"),
-            visited: VisitedSet::new(self.store),
+            visited: VisitedTable::new(),
             trace: Vec::with_capacity(256),
             pending: {
                 let mut pending = Vec::with_capacity(32);
                 pending.push((Config::initial(self.module), 0));
                 pending
             },
-            arg_scratch: Vec::new(),
             paths: 0,
             frontier_peak: 1,
         };
@@ -107,12 +97,9 @@ impl<'a> ExplicitChecker<'a> {
 struct Search<'a> {
     module: &'a Module,
     meter: Meter,
-    visited: VisitedSet,
+    visited: VisitedTable,
     trace: Vec<TraceStep>,
     pending: Vec<(Config, usize)>,
-    /// Reusable buffer for evaluated call arguments, so dispatching a
-    /// call does not allocate a fresh vector per instruction.
-    arg_scratch: Vec<Value>,
     paths: u64,
     frontier_peak: usize,
 }
@@ -141,177 +128,60 @@ impl Search<'_> {
     /// ran out (the search stops as inconclusive).
     fn record(&mut self, config: &Config) -> Result<bool, Verdict> {
         match self.visited.insert(config.fingerprint()) {
-            Ok(true) => {
+            Ok((_, true)) => {
                 self.meter.note_states(self.visited.len());
                 Ok(true)
             }
-            Ok(false) => Ok(false),
-            Err(crate::store::StateCapExceeded) => Err(Verdict::ResourceBound {
-                steps: self.meter.usage.steps,
-                states: self.meter.usage.states,
-                reason: BoundReason::StateCap,
-            }),
+            Ok((_, false)) => Ok(false),
+            Err(StateCapExceeded) => Err(self.meter.bound(BoundReason::StateCap)),
         }
     }
 
     /// Runs one path to completion, pushing alternatives onto
     /// `self.pending` at nondeterministic branch points.
-    ///
-    /// Instructions are **borrowed** from the module body rather than
-    /// cloned per executed step: `Call` argument lists and `NondetJump`
-    /// target vectors are heap-backed, and the per-step clone showed up
-    /// as the single largest line in the interpreter profile.
     fn run_path(&mut self, mut config: Config) -> PathEnd {
         let module = self.module;
         loop {
-            let Some(frame) = config.stack.last() else {
+            let Some((instr, at)) = step::current(module, &config) else {
                 return PathEnd::Done; // program finished
             };
             if let Err(reason) = self.meter.tick() {
-                return PathEnd::Stop(Verdict::ResourceBound {
-                    steps: self.meter.usage.steps,
-                    states: self.meter.usage.states,
-                    reason,
-                });
+                return PathEnd::Stop(self.meter.bound(reason));
             }
-            let func = frame.func;
-            let pc = frame.pc;
-            let body = module.body(func);
-            let meta = body.meta[pc];
-            self.trace.push(TraceStep { func, pc, origin: meta.origin, span: meta.span });
-
-            match &body.instrs[pc] {
-                Instr::Assign(place, rv) => {
-                    let mut env = SeqEnv { module, config: &mut config };
-                    if let Err(e) = eval::exec_assign(&mut env, place, rv) {
-                        return PathEnd::Stop(Verdict::RuntimeError(e, self.snapshot(&config)));
-                    }
-                    config.stack.last_mut().expect("nonempty").pc += 1;
+            self.trace.push(at);
+            // States are recorded before calls and branches only: every
+            // cycle in lowered code passes through a NondetJump (the
+            // `iter` header) or a Call.
+            if matches!(instr, Instr::Call { .. } | Instr::NondetJump(_)) {
+                match self.record(&config) {
+                    Ok(true) => {}
+                    Ok(false) => return PathEnd::Done,
+                    Err(v) => return PathEnd::Stop(v),
                 }
-                Instr::Assert(cond) => {
-                    let env = SeqEnv { module, config: &mut config };
-                    match eval::eval_cond(&env, cond) {
-                        Ok(true) => config.stack.last_mut().expect("nonempty").pc += 1,
-                        Ok(false) => return PathEnd::Stop(Verdict::Fail(self.snapshot(&config))),
-                        Err(e) => return PathEnd::Stop(Verdict::RuntimeError(e, self.snapshot(&config))),
-                    }
-                }
-                Instr::Assume(cond) => {
-                    let env = SeqEnv { module, config: &mut config };
-                    match eval::eval_cond(&env, cond) {
-                        Ok(true) => config.stack.last_mut().expect("nonempty").pc += 1,
-                        Ok(false) => return PathEnd::Done, // pruned path
-                        Err(e) => return PathEnd::Stop(Verdict::RuntimeError(e, self.snapshot(&config))),
-                    }
-                }
-                Instr::Call { dest, target, args } => {
-                    match self.record(&config) {
-                        Ok(true) => {}
-                        Ok(false) => return PathEnd::Done,
-                        Err(v) => return PathEnd::Stop(v),
-                    }
-                    // One env borrow per dispatch: resolve the callee,
-                    // check arity, and evaluate the arguments into the
-                    // reusable scratch buffer under a single borrow.
-                    self.arg_scratch.clear();
-                    let resolved = {
-                        let env = SeqEnv { module, config: &mut config };
-                        resolve_target(&env, *target).and_then(|callee| {
-                            let def = module.program.func(callee);
-                            if def.param_count as usize != args.len() {
-                                return Err(kiss_exec::ExecError::ArityMismatch {
-                                    func: callee,
-                                    expected: def.param_count,
-                                    got: args.len() as u32,
-                                });
-                            }
-                            self.arg_scratch
-                                .extend(args.iter().map(|a| eval::eval_operand(&env, a)));
-                            Ok(callee)
-                        })
-                    };
-                    let callee = match resolved {
-                        Ok(f) => f,
-                        Err(e) => return PathEnd::Stop(Verdict::RuntimeError(e, self.snapshot(&config))),
-                    };
-                    // Advance the caller past the call before pushing.
-                    config.stack.last_mut().expect("nonempty").pc += 1;
-                    let frame = Frame::enter(module, callee, &self.arg_scratch, *dest);
-                    config.stack.push(frame);
-                }
-                Instr::Async { .. } => {
-                    return PathEnd::Stop(Verdict::RuntimeError(
-                        kiss_exec::ExecError::AsyncInSequential,
-                        self.snapshot(&config),
-                    ));
-                }
-                Instr::Return(op) => {
-                    let ret_val = {
-                        let env = SeqEnv { module, config: &mut config };
-                        op.map(|o| eval::eval_operand(&env, &o)).unwrap_or(Value::Null)
-                    };
-                    let finished = config.stack.pop().expect("nonempty");
-                    if config.stack.is_empty() {
-                        return PathEnd::Done;
-                    }
-                    if let Some(dest) = finished.dest {
-                        let mut env = SeqEnv { module, config: &mut config };
-                        if let Err(e) = eval::place_addr(&env, &dest)
-                            .and_then(|addr| env.write_addr(addr, ret_val))
-                        {
-                            return PathEnd::Stop(Verdict::RuntimeError(e, self.snapshot(&config)));
+            }
+            match step::step(module, &mut config, instr) {
+                Ok(Step::Continue) => {}
+                Ok(Step::Finished | Step::Pruned) => return PathEnd::Done,
+                Ok(Step::Branch(targets)) => match targets.split_first() {
+                    None => return PathEnd::Done, // no branch: dead end
+                    Some((&first, rest)) => {
+                        self.pending.reserve(rest.len());
+                        for &alt in rest.iter().rev() {
+                            let mut alt_config = config.clone();
+                            alt_config.stack.last_mut().expect("nonempty").pc = alt;
+                            self.pending.push((alt_config, self.trace.len()));
                         }
+                        self.frontier_peak = self.frontier_peak.max(self.pending.len() + 1);
+                        config.stack.last_mut().expect("nonempty").pc = first;
                     }
-                }
-                Instr::Jump(target) => {
-                    // No visited check here: every cycle in lowered code
-                    // passes through a NondetJump (the `iter` header) or
-                    // a Call, which record states.
-                    config.stack.last_mut().expect("nonempty").pc = *target;
-                }
-                Instr::NondetJump(targets) => {
-                    match self.record(&config) {
-                        Ok(true) => {}
-                        Ok(false) => return PathEnd::Done,
-                        Err(v) => return PathEnd::Stop(v),
-                    }
-                    match targets.split_first() {
-                        None => return PathEnd::Done, // no branch: dead end
-                        Some((&first, rest)) => {
-                            self.pending.reserve(rest.len());
-                            for &alt in rest.iter().rev() {
-                                let mut alt_config = config.clone();
-                                alt_config.stack.last_mut().expect("nonempty").pc = alt;
-                                self.pending.push((alt_config, self.trace.len()));
-                            }
-                            self.frontier_peak = self.frontier_peak.max(self.pending.len() + 1);
-                            config.stack.last_mut().expect("nonempty").pc = first;
-                        }
-                    }
-                }
-                Instr::AtomicBegin | Instr::AtomicEnd => {
-                    // Atomicity is vacuous sequentially.
-                    config.stack.last_mut().expect("nonempty").pc += 1;
-                }
+                },
+                Err(fault) => return PathEnd::Stop(fault.verdict(self.snapshot(&config))),
             }
         }
     }
 
     fn snapshot(&self, config: &Config) -> ErrorTrace {
         ErrorTrace { steps: self.trace.clone(), globals: config.mem.globals.to_vec() }
-    }
-}
-
-/// Resolves a call target to a function id. Shared by the sequential
-/// engines and the kiss-ltl product engine (which steps instructions
-/// itself, one at a time, so the Büchi automaton can branch anywhere).
-pub fn resolve_target(env: &impl Env, target: CallTarget) -> Result<FuncId, kiss_exec::ExecError> {
-    match target {
-        CallTarget::Direct(f) => Ok(f),
-        CallTarget::Indirect(v) => match env.read_var(v) {
-            Value::Fn(f) => Ok(f),
-            other => Err(kiss_exec::ExecError::NotAFunction { found: other.type_name() }),
-        },
     }
 }
 

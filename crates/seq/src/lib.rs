@@ -3,7 +3,7 @@
 //! Sequential program checkers — the substrate the paper delegates to
 //! SLAM. KISS only needs *some* sound-and-complete assertion checker
 //! for sequential programs with finite data (the problem is decidable,
-//! paper refs [34, 37]); this crate provides two:
+//! paper refs [34, 37]); this crate provides three:
 //!
 //! * [`explicit::ExplicitChecker`] — whole-configuration depth-first
 //!   search with visited-state hashing and resource budgets. Produces
@@ -17,8 +17,10 @@
 //!   returning minimal-depth counterexamples (short traces are what a
 //!   human debugging the concurrent program wants to read).
 //!
-//! Both agree on verdicts; an integration test checks this on a program
-//! corpus.
+//! All three agree on verdicts; an integration test checks this on a
+//! program corpus. The explicit and BFS engines (and kiss-ltl's product
+//! engine) execute instructions through the one shared [`step::step`];
+//! the summary engine binds calls through [`step::bind_call`].
 
 pub mod bfs;
 pub mod budget;
@@ -26,6 +28,7 @@ pub mod cancel;
 pub mod config;
 pub mod explicit;
 pub mod stats;
+pub mod step;
 pub mod store;
 pub mod summary;
 pub mod verdict;
@@ -36,8 +39,7 @@ pub use cancel::CancelToken;
 pub use explicit::ExplicitChecker;
 pub use stats::EngineStats;
 pub use store::{
-    SegmentInterner, ShardedVisitedTable, StateCapExceeded, StateId, StoreKind, VisitedSet,
-    VisitedTable, SHARD_COUNT,
+    SegmentInterner, ShardedVisitedTable, StateCapExceeded, StateId, VisitedTable, SHARD_COUNT,
 };
 pub use summary::SummaryChecker;
 pub use verdict::{ErrorTrace, TraceStep, Verdict};

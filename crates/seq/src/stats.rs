@@ -29,8 +29,7 @@ pub struct EngineStats {
     /// fingerprints, plus interned trace segments for BFS). All
     /// engines.
     pub states_stored: usize,
-    /// Bytes held by the state store: exact for the interned table,
-    /// estimated for legacy storage. All engines.
+    /// Exact bytes held by the state store. All engines.
     pub store_bytes: usize,
     /// Instructions actually executed, including speculative work a
     /// parallel exploration ran past the point where the serial search

@@ -1,22 +1,23 @@
-//! The state store: interned visited table, trace-segment interner,
-//! and the storage-mode knob shared by the sequential engines.
+//! The state store shared by the sequential engines: interned visited
+//! table, trace-segment interner, and the parent-edge walk that turns
+//! them back into a trace.
 //!
 //! Explicit-state search lives or dies on its per-state bookkeeping
-//! (paper §6 bounds every check at 20 min / 800 MB). The historical
-//! storage — `HashSet<(u64, u64)>` for visited states and an owned
-//! `Vec<TraceStep>` clone per BFS parent edge — re-hashes every
-//! 128-bit fingerprint through SipHash on insert and duplicates the
-//! same `schedule()` preamble segments thousands of times. This module
-//! replaces both:
+//! (paper §6 bounds every check at 20 min / 800 MB). A
+//! `HashSet<(u64, u64)>` of visited states re-hashes every 128-bit
+//! fingerprint through SipHash on insert, and an owned
+//! `Vec<TraceStep>` per BFS parent edge duplicates the same
+//! `schedule()` preamble segments thousands of times. This module
+//! avoids both:
 //!
 //! * [`VisitedTable`] — open addressing keyed *directly* on the
 //!   fingerprint (it is already avalanche-mixed, so the low bits are
 //!   the slot index) which hands out dense [`StateId`]s in insertion
 //!   order, giving the engines array-indexed parent maps for free;
+//! * [`ShardedVisitedTable`] — the same table striped for parallel BFS;
 //! * [`SegmentInterner`] — a flat [`TraceStep`] arena with hash-dedup,
 //!   so a repeated segment costs one slice compare instead of a clone;
-//! * [`StoreKind`] — the `--store legacy|cow` knob that keeps the old
-//!   storage reachable for the equivalence suite.
+//! * [`trace_to`] — the one walk from a state back to its root.
 
 use std::sync::Mutex;
 
@@ -37,37 +38,6 @@ impl std::fmt::Display for StateCapExceeded {
 }
 
 impl std::error::Error for StateCapExceeded {}
-
-/// Which state-storage implementation an engine uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StoreKind {
-    /// Historical storage: `HashSet` visited sets and per-edge owned
-    /// trace clones. Kept as the equivalence oracle.
-    Legacy,
-    /// The store in this module: interned visited table, `StateId`
-    /// arenas, interned trace segments (the default).
-    #[default]
-    Cow,
-}
-
-impl StoreKind {
-    /// Parses the `--store` flag value.
-    pub fn parse(s: &str) -> Option<StoreKind> {
-        match s {
-            "legacy" => Some(StoreKind::Legacy),
-            "cow" => Some(StoreKind::Cow),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling of this kind.
-    pub fn name(self) -> &'static str {
-        match self {
-            StoreKind::Legacy => "legacy",
-            StoreKind::Cow => "cow",
-        }
-    }
-}
 
 /// A dense index into a [`VisitedTable`], assigned in insertion order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -417,59 +387,6 @@ impl<C> Default for ShardedVisitedTable<C> {
     }
 }
 
-/// A visited set behind the [`StoreKind`] knob: the legacy `HashSet`
-/// or the interned [`VisitedTable`]. Both engines that only need
-/// membership (explicit DFS, summary bodies) use this; BFS talks to
-/// the table directly for its dense ids.
-pub enum VisitedSet {
-    /// `HashSet<(u64, u64)>`, as the engines historically kept it.
-    Legacy(std::collections::HashSet<(u64, u64)>),
-    /// The open-addressing table.
-    Table(VisitedTable),
-}
-
-impl VisitedSet {
-    /// An empty set of the given kind.
-    pub fn new(kind: StoreKind) -> VisitedSet {
-        match kind {
-            StoreKind::Legacy => VisitedSet::Legacy(std::collections::HashSet::new()),
-            StoreKind::Cow => VisitedSet::Table(VisitedTable::new()),
-        }
-    }
-
-    /// Inserts `fp`; true when it was not yet present. The legacy set
-    /// has no dense ids and so no cap; the table reports
-    /// [`StateCapExceeded`] when its id space runs out.
-    pub fn insert(&mut self, fp: (u64, u64)) -> Result<bool, StateCapExceeded> {
-        match self {
-            VisitedSet::Legacy(set) => Ok(set.insert(fp)),
-            VisitedSet::Table(table) => Ok(table.insert(fp)?.1),
-        }
-    }
-
-    /// Number of distinct fingerprints.
-    pub fn len(&self) -> usize {
-        match self {
-            VisitedSet::Legacy(set) => set.len(),
-            VisitedSet::Table(table) => table.len(),
-        }
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Bytes held: exact for the table, the historical
-    /// bytes-per-fingerprint estimate for the legacy set.
-    pub fn bytes(&self) -> usize {
-        match self {
-            VisitedSet::Legacy(set) => set.len() * crate::budget::BYTES_PER_FINGERPRINT,
-            VisitedSet::Table(table) => table.bytes(),
-        }
-    }
-}
-
 /// A handle to an interned trace segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegId(u32);
@@ -601,6 +518,31 @@ impl Default for SegmentInterner {
     }
 }
 
+/// The steps from the root to the state `id`: walks parent edges —
+/// `parent` looks one up — back to the self-parented root, then
+/// concatenates the edges' interned segments in root-first order.
+pub fn trace_to(
+    interner: &SegmentInterner,
+    mut id: StateId,
+    parent: impl Fn(StateId) -> (StateId, SegId),
+) -> Vec<TraceStep> {
+    let mut segments: Vec<SegId> = Vec::new();
+    loop {
+        let (up, seg) = parent(id);
+        if up == id {
+            break;
+        }
+        segments.push(seg);
+        id = up;
+    }
+    let total: usize = segments.iter().map(|&s| interner.get(s).len()).sum();
+    let mut steps = Vec::with_capacity(total);
+    for &seg in segments.iter().rev() {
+        steps.extend_from_slice(interner.get(seg));
+    }
+    steps
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,22 +571,6 @@ mod tests {
         assert_eq!(t.len(), 5000);
         assert!(!t.contains((9999, 1)));
         assert!(t.bytes() >= 5000 * 16);
-    }
-
-    #[test]
-    fn visited_set_modes_agree_on_membership() {
-        let fps: Vec<(u64, u64)> = (0..100).map(|i| (i * 3, i * 7 + 1)).collect();
-        let mut legacy = VisitedSet::new(StoreKind::Legacy);
-        let mut cow = VisitedSet::new(StoreKind::Cow);
-        for &fp in &fps {
-            assert_eq!(legacy.insert(fp).unwrap(), cow.insert(fp).unwrap());
-        }
-        for &fp in &fps {
-            assert!(!legacy.insert(fp).unwrap());
-            assert!(!cow.insert(fp).unwrap());
-        }
-        assert_eq!(legacy.len(), cow.len());
-        assert!(legacy.bytes() > 0 && cow.bytes() > 0);
     }
 
     fn step(func: u32, pc: usize) -> TraceStep {
@@ -687,6 +613,19 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(i.get(a), &s1[..]);
         assert_eq!(i.get(b), &s2[..]);
+    }
+
+    #[test]
+    fn trace_to_concatenates_segments_from_the_root() {
+        let mut i = SegmentInterner::new();
+        let a = i.intern(&[step(0, 0), step(0, 1)]);
+        let b = i.intern(&[step(1, 0)]);
+        // 0 is the self-parented root; 2 hangs off 1, 1 off the root.
+        let parents = [(StateId(0), SegId::EMPTY), (StateId(0), a), (StateId(1), b)];
+        let parent = |id: StateId| parents[id.0 as usize];
+        assert_eq!(trace_to(&i, StateId(2), parent), vec![step(0, 0), step(0, 1), step(1, 0)]);
+        assert_eq!(trace_to(&i, StateId(1), parent), vec![step(0, 0), step(0, 1)]);
+        assert!(trace_to(&i, StateId(0), parent).is_empty());
     }
 
     #[test]
@@ -828,14 +767,5 @@ mod tests {
             // Exactly one thread parked a payload.
             assert!(t.take_parked(id).is_some(), "no parked payload for fp {i}");
         }
-    }
-
-    #[test]
-    fn store_kind_parses_its_own_names() {
-        for kind in [StoreKind::Legacy, StoreKind::Cow] {
-            assert_eq!(StoreKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(StoreKind::parse("bitstate"), None);
-        assert_eq!(StoreKind::default(), StoreKind::Cow);
     }
 }

@@ -16,7 +16,6 @@
 //! stack frame (the explicit engine does).
 
 use std::collections::{BTreeSet, HashMap};
-use std::hash::{Hash, Hasher};
 
 use kiss_exec::{eval, Addr, Env, ExecError, Instr, Memory, Module, Value};
 use kiss_lang::hir::{FuncId, LocalId, VarRef};
@@ -24,16 +23,19 @@ use kiss_obs::Obs;
 
 use crate::budget::{BoundReason, Budget, Meter};
 use crate::cancel::CancelToken;
+use crate::config::{entry_locals, fingerprint_of};
 use crate::stats::EngineStats;
-use crate::store::{StoreKind, VisitedSet};
+use crate::step::bind_call;
+use crate::store::VisitedTable;
 use crate::verdict::{ErrorTrace, Verdict};
 
-/// A function entry state.
+/// A function entry state: the callee's locals hold its bound
+/// arguments, every other local at its default.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Key {
     func: FuncId,
     mem: Memory,
-    args: Vec<Value>,
+    locals: Vec<Value>,
 }
 
 /// A function exit state.
@@ -50,7 +52,6 @@ pub struct SummaryChecker<'a> {
     budget: Budget,
     cancel: CancelToken,
     obs: Obs,
-    store: StoreKind,
 }
 
 enum Interrupt {
@@ -67,15 +68,7 @@ impl<'a> SummaryChecker<'a> {
             budget: Budget::default(),
             cancel: CancelToken::default(),
             obs: Obs::off(),
-            store: StoreKind::default(),
         }
-    }
-
-    /// Selects the state-storage implementation for the per-body
-    /// visited tables.
-    pub fn with_store(mut self, store: StoreKind) -> Self {
-        self.store = store;
-        self
     }
 
     /// Replaces the budget.
@@ -110,14 +103,14 @@ impl<'a> SummaryChecker<'a> {
                 .with_observer(self.obs.clone(), "summary"),
             summaries: HashMap::new(),
             in_progress: Vec::new(),
-            store: self.store,
             stored: 0,
             store_bytes: 0,
         };
+        let main = self.module.program.main;
         let main_key = Key {
-            func: self.module.program.main,
+            func: main,
             mem: Memory::initial(&self.module.program),
-            args: Vec::new(),
+            locals: entry_locals(self.module, main, std::iter::empty()),
         };
         let mut rounds = 0u32;
         let verdict = loop {
@@ -160,7 +153,6 @@ struct Engine<'a> {
     summaries: HashMap<Key, BTreeSet<Exit>>,
     /// Keys currently being analyzed (cycle detection for recursion).
     in_progress: Vec<Key>,
-    store: StoreKind,
     /// Fingerprints recorded across all body explorations (gauge).
     stored: usize,
     /// Peak bytes held by a single body's visited table (gauge).
@@ -279,19 +271,10 @@ impl Engine<'_> {
     // Digest-cache atomics again; see `analyze`.
     #[allow(clippy::mutable_key_type)]
     fn explore_body(&mut self, key: &Key) -> Result<BTreeSet<Exit>, Interrupt> {
-        let def = self.module.program.func(key.func);
-        let mut locals: Vec<Value> = Vec::with_capacity(def.locals.len());
-        for (i, l) in def.locals.iter().enumerate() {
-            if i < key.args.len() {
-                locals.push(key.args[i]);
-            } else {
-                locals.push(Value::default_for(l.ty.as_ref()));
-            }
-        }
-        let initial = State { mem: key.mem.clone(), locals, pc: 0 };
+        let initial = State { mem: key.mem.clone(), locals: key.locals.clone(), pc: 0 };
 
         let mut exits = BTreeSet::new();
-        let mut visited = VisitedSet::new(self.store);
+        let mut visited = VisitedTable::new();
         let mut pending: Vec<State> = vec![initial];
         let body = self.module.body(key.func);
 
@@ -329,26 +312,10 @@ impl Engine<'_> {
                         if !record(&mut visited, &state).map_err(Interrupt::Budget)? {
                             break 'path;
                         }
-                        // One env borrow resolves the callee and
-                        // evaluates the arguments together.
-                        let (callee, arg_vals) = {
-                            let env = LocalEnv { module: self.module, state: &mut state };
-                            let callee = crate::explicit::resolve_target(&env, *target)
-                                .map_err(Interrupt::Runtime)?;
-                            let arg_vals: Vec<Value> =
-                                args.iter().map(|a| eval::eval_operand(&env, a)).collect();
-                            (callee, arg_vals)
-                        };
-                        let callee_def = self.module.program.func(callee);
-                        if callee_def.param_count as usize != arg_vals.len() {
-                            return Err(Interrupt::Runtime(ExecError::ArityMismatch {
-                                func: callee,
-                                expected: callee_def.param_count,
-                                got: arg_vals.len() as u32,
-                            }));
-                        }
-                        let call_key =
-                            Key { func: callee, mem: state.mem.clone(), args: arg_vals };
+                        let env = LocalEnv { module: self.module, state: &mut state };
+                        let (callee, locals) = bind_call(self.module, &env, *target, args)
+                            .map_err(Interrupt::Runtime)?;
+                        let call_key = Key { func: callee, mem: state.mem.clone(), locals };
                         let call_exits = self.analyze(call_key)?;
                         if call_exits.is_empty() {
                             // Callee never returns (or cycle not yet
@@ -405,7 +372,7 @@ impl Engine<'_> {
 
     /// Folds one body's visited table into the engine-wide store
     /// gauges.
-    fn note_store(&mut self, visited: &VisitedSet) {
+    fn note_store(&mut self, visited: &VisitedTable) {
         self.stored += visited.len();
         self.store_bytes = self.store_bytes.max(visited.bytes());
     }
@@ -426,22 +393,11 @@ fn apply_exit(
     Ok(())
 }
 
-fn record(visited: &mut VisitedSet, state: &State) -> Result<bool, BoundReason> {
-    let fp = match visited {
-        // The historical double-`DefaultHasher` fingerprint, kept
-        // bit-for-bit for the legacy store.
-        VisitedSet::Legacy(_) => {
-            let mut h1 = std::collections::hash_map::DefaultHasher::new();
-            state.hash(&mut h1);
-            let mut h2 = std::collections::hash_map::DefaultHasher::new();
-            0xC0FF_EE00u64.hash(&mut h2);
-            state.hash(&mut h2);
-            (h1.finish(), h2.finish())
-        }
-        // One two-lane traversal instead of two SipHash passes.
-        VisitedSet::Table(_) => crate::config::fingerprint_of(state),
-    };
-    visited.insert(fp).map_err(|_| BoundReason::StateCap)
+fn record(visited: &mut VisitedTable, state: &State) -> Result<bool, BoundReason> {
+    match visited.insert(fingerprint_of(state)) {
+        Ok((_, new)) => Ok(new),
+        Err(_) => Err(BoundReason::StateCap),
+    }
 }
 
 #[cfg(test)]

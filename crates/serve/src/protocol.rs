@@ -10,12 +10,14 @@
 //!
 //! ```json
 //! {"id":"q0","op":"race","target":"Ext.field","source":"int g; ...",
-//!  "engine":"explicit","store":"cow","max_ts":0,
+//!  "engine":"explicit","max_ts":0,
 //!  "max_steps":50000,"max_states":8000,"timeout_ms":2000,"no_cache":true}
 //! ```
 //!
 //! `id`, `op`, and `source` (plus `target` for `op:"race"`) are
-//! required; everything else defaults. A response frame:
+//! required; everything else defaults. Clients that predate the single
+//! state store send a `"store"` field on every frame; it is ignored,
+//! whatever its value. A response frame:
 //!
 //! ```json
 //! {"id":"q0","verdict":"race","detail":"...","steps":123,"states":45,
@@ -48,7 +50,6 @@
 use kiss_core::checker::Engine;
 use kiss_obs::json::{quoted, Json};
 use kiss_obs::{Histogram, TraceId};
-use kiss_seq::StoreKind;
 
 /// Hard cap on one frame's byte length. Driver sources are tens of
 /// kilobytes; anything past this is a protocol error, not a program.
@@ -95,8 +96,6 @@ pub struct Request {
     pub source: String,
     /// Sequential engine to run.
     pub engine: Engine,
-    /// State-store implementation.
-    pub store: StoreKind,
     /// The `MAX` coverage bound.
     pub max_ts: usize,
     /// Step-budget override (server default when absent).
@@ -107,7 +106,7 @@ pub struct Request {
     pub timeout_ms: Option<u64>,
     /// Skip the cache lookup (the verdict is still stored).
     pub no_cache: bool,
-    /// Worker threads exploring a single check (BFS + cow store only).
+    /// Worker threads exploring a single check (BFS and LTL only).
     /// A throughput knob, never a semantics knob: results are
     /// byte-identical to a serial run, so it is excluded from the
     /// cache key — a warm answer from a serial run satisfies a
@@ -128,7 +127,6 @@ impl Request {
             op: Op::Check,
             source: source.into(),
             engine: Engine::default(),
-            store: StoreKind::default(),
             max_ts: 0,
             max_steps: None,
             max_states: None,
@@ -169,7 +167,7 @@ impl Request {
 
     /// The content address: a 128-bit fingerprint over every field that
     /// determines the verdict — source text, operation and target,
-    /// engine, store, `MAX`, and the budget overrides. The `id` and
+    /// engine, `MAX`, and the budget overrides. The `id` and
     /// `no_cache` fields are transport concerns and excluded, and so
     /// is `explore_jobs` — parallel exploration is byte-identical to
     /// serial, so the verdict does not depend on it.
@@ -188,7 +186,9 @@ impl Request {
             target,
             self.source.as_str(),
             self.engine.name(),
-            self.store.name(),
+            // The store name the key hashed when there were two stores:
+            // keeps journals written before then hitting.
+            "cow",
             self.max_ts,
             self.max_steps,
             self.max_states,
@@ -221,10 +221,9 @@ impl Request {
             Op::Metrics => out.push_str(",\"op\":\"metrics\""),
         }
         out.push_str(&format!(
-            ",\"source\":{},\"engine\":{},\"store\":{},\"max_ts\":{}",
+            ",\"source\":{},\"engine\":{},\"max_ts\":{}",
             quoted(&self.source),
             quoted(self.engine.name()),
-            quoted(self.store.name()),
             self.max_ts,
         ));
         for (name, value) in [
@@ -526,10 +525,6 @@ fn request_from_value(v: &Json) -> Result<Request, FrameError> {
         None => Engine::default(),
         Some(s) => Engine::parse(s).ok_or_else(|| malformed(format!("unknown engine `{s}`")))?,
     };
-    let store = match v.get("store").and_then(Json::as_str) {
-        None => StoreKind::default(),
-        Some(s) => StoreKind::parse(s).ok_or_else(|| malformed(format!("unknown store `{s}`")))?,
-    };
     let num = |name: &str| -> Result<Option<u64>, FrameError> {
         match v.get(name) {
             None | Some(Json::Null) => Ok(None),
@@ -545,7 +540,6 @@ fn request_from_value(v: &Json) -> Result<Request, FrameError> {
         op,
         source,
         engine,
-        store,
         max_ts: num("max_ts")?.unwrap_or(0) as usize,
         max_steps: num("max_steps")?,
         max_states: num("max_states")?,
@@ -791,7 +785,6 @@ mod tests {
             op: Op::Race { target: "Ext.field".to_string() },
             source: "int g;\nvoid main() { skip; }".to_string(),
             engine: Engine::Bfs,
-            store: StoreKind::Legacy,
             max_ts: 2,
             max_steps: Some(50_000),
             max_states: Some(8_000),
@@ -808,7 +801,6 @@ mod tests {
         let req = decode_request(r#"{"id":"a","op":"check","source":"void main() { skip; }"}"#)
             .unwrap();
         assert_eq!(req.engine, Engine::Explicit);
-        assert_eq!(req.store, StoreKind::default());
         assert_eq!(req.max_ts, 0);
         assert_eq!(req.max_steps, None);
         assert!(!req.no_cache);
@@ -825,7 +817,6 @@ mod tests {
             (r#"{"id":"a","op":"race","source":"x"}"#, "needs a `target`"),
             (r#"{"id":"a","op":"check"}"#, "missing `source`"),
             (r#"{"id":"a","op":"check","source":"x","engine":"warp"}"#, "unknown engine"),
-            (r#"{"id":"a","op":"check","source":"x","store":"zipdb"}"#, "unknown store"),
             (r#"{"id":"a","op":"check","source":"x","max_steps":"ten"}"#, "non-negative"),
         ] {
             let err = decode_request(line).unwrap_err();
@@ -840,11 +831,40 @@ mod tests {
         for (line, offending) in [
             (r#"{"id":"a","op":"zap","source":"x"}"#, "`zap`"),
             (r#"{"id":"a","op":"check","source":"x","engine":"warp"}"#, "`warp`"),
-            (r#"{"id":"a","op":"check","source":"x","store":"zipdb"}"#, "`zipdb`"),
         ] {
             let err = decode_request(line).unwrap_err();
             assert!(err.message().contains(offending), "{line} -> {}", err.message());
         }
+    }
+
+    #[test]
+    fn a_store_field_from_an_old_client_is_ignored() {
+        let plain = decode_request(r#"{"id":"a","op":"check","source":"x"}"#).unwrap();
+        for store in ["cow", "legacy", "zipdb"] {
+            let line = format!(r#"{{"id":"a","op":"check","source":"x","store":"{store}"}}"#);
+            assert_eq!(decode_request(&line), Ok(plain.clone()), "{line}");
+        }
+        assert!(!plain.to_json().contains("store"), "{}", plain.to_json());
+    }
+
+    #[test]
+    fn cache_keys_are_stable_across_upgrades() {
+        // Journals persist keys across server versions: these values
+        // were computed before the store field left the protocol.
+        let mut req = Request::race(
+            "q",
+            "int g; void w() { g = 1; } void main() { async w(); g = 2; }",
+            "g",
+        );
+        req.engine = Engine::Bfs;
+        req.max_ts = 1;
+        req.max_steps = Some(50_000);
+        req.timeout_ms = Some(2_000);
+        assert_eq!(req.cache_key(), 0xcb31_ebec_f570_172d_1ee9_5150_08b3_1915);
+        assert_eq!(
+            Request::check("a", "void main() { skip; }").cache_key(),
+            0xb3c8_13d1_b3be_17b3_5b36_73a3_9943_f54f
+        );
     }
 
     #[test]

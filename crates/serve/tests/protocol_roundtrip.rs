@@ -3,7 +3,6 @@
 
 use kiss_core::checker::Engine;
 use kiss_obs::TraceId;
-use kiss_seq::StoreKind;
 use kiss_serve::protocol::{
     decode_request, decode_response, CacheStatus, FrameError, Op, Request, Response,
     MAX_FRAME_BYTES,
@@ -16,14 +15,13 @@ fn opt_u64() -> BoxedStrategy<Option<u64>> {
 }
 
 /// Arbitrary requests: printable-unicode ids/sources/targets (quotes,
-/// backslashes, and multi-byte characters included), every engine and
-/// store, and each budget override present or absent.
+/// backslashes, and multi-byte characters included), every engine,
+/// and each budget override present or absent.
 fn request_strategy() -> BoxedStrategy<Request> {
     (
         ("\\PC*", "\\PC*", prop_oneof![Just(None), "\\PC*".prop_map(Some)]),
         (
             prop::sample::select(vec![Engine::Explicit, Engine::Summary, Engine::Bfs]),
-            prop::sample::select(vec![StoreKind::Legacy, StoreKind::Cow]),
             0usize..4,
         ),
         (opt_u64(), opt_u64(), opt_u64(), any::<bool>(), 1usize..9),
@@ -32,7 +30,7 @@ fn request_strategy() -> BoxedStrategy<Request> {
         .prop_map(
             |(
                 (id, source, target),
-                (engine, store, max_ts),
+                (engine, max_ts),
                 (max_steps, max_states, timeout_ms, no_cache, explore_jobs),
                 trace,
             )| {
@@ -44,7 +42,6 @@ fn request_strategy() -> BoxedStrategy<Request> {
                     },
                     source,
                     engine,
-                    store,
                     max_ts,
                     max_steps,
                     max_states,
