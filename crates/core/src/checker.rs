@@ -329,7 +329,7 @@ impl Kiss {
         self
     }
 
-    /// Threads a trace id through the check: [`Kiss::run`] brackets its
+    /// Threads a trace id through the check: every check brackets its
     /// transform, lower, and explore phases with spans parented under
     /// `parent` in that trace, so a request's phase breakdown is
     /// reconstructible from the event stream. With the default

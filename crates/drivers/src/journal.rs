@@ -311,6 +311,34 @@ mod tests {
     }
 
     #[test]
+    fn old_format_report_is_dropped_but_field_records_resume() {
+        let path = tmp_path("old-report");
+        // A report line from before the serving and robustness fields
+        // existed: it no longer parses, so it is dropped like garbage.
+        std::fs::write(
+            &path,
+            "v1\tdrv\t0\trace\n\
+             v1report\t{\"checks\":2,\"retries\":0,\"outcomes\":{\"race\":1,\"pass\":1},\
+             \"bound_reasons\":{},\"engines\":{\"explicit\":{\"checks\":2,\"steps\":7,\
+             \"states\":3,\"wall_ms\":2}},\"wall_ms\":2,\"durations_ms\":[1,1]}\n\
+             v1\tdrv\t1\tnorace\n\
+             v1\tdrv\t2\tinconclusive:steps\n",
+        )
+        .unwrap();
+        let j = Journal::open(&path).unwrap();
+        assert_eq!(j.len(), 3);
+        assert_eq!(j.lookup("drv", 0), Some(FieldOutcome::Race));
+        assert_eq!(j.lookup("drv", 1), Some(FieldOutcome::NoRace));
+        assert_eq!(
+            j.lookup("drv", 2),
+            Some(FieldOutcome::Inconclusive(BoundReason::Steps))
+        );
+        assert!(j.reports().is_empty(), "the old report must be dropped");
+        assert_eq!(j.merged_report(&RunReport::default()), RunReport::default());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn later_records_override_earlier_ones() {
         let path = tmp_path("override");
         {

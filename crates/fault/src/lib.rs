@@ -351,6 +351,15 @@ mod tests {
     }
 
     #[test]
+    fn splitmix64_matches_known_vectors() {
+        // Percent schedules replay only while these hold; kiss-obs's
+        // public copy pins the same values.
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(1), 0x910a_2dec_8902_5cc1);
+        assert_eq!(splitmix64(u64::MAX), 0xe4d9_7177_1b65_2c20);
+    }
+
+    #[test]
     fn disabled_fast_path_returns_none() {
         let _x = exclusive();
         assert!(!is_active());

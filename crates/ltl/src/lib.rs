@@ -8,7 +8,7 @@
 //! it as a finite stem plus a repeating cycle using the same interned
 //! segment store the safety BFS engine uses.
 //!
-//! Pipeline: [`parse`] → [`Buchi::for_negation`] → [`resolve_atoms`] →
+//! Pipeline: [`parse()`] → [`Buchi::for_negation`] → [`resolve_atoms`] →
 //! [`ProductChecker`] → [`LtlVerdict`].
 
 pub mod ast;

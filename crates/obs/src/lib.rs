@@ -25,7 +25,7 @@ pub mod sinks;
 pub mod span;
 
 pub use event::{CheckMetrics, Event};
-pub use metrics::{AtomicHistogram, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
+pub use metrics::{AtomicHistogram, Gauge, Histogram};
 pub use report::{EngineTotals, RunReport};
 pub use sinks::{Aggregator, ChannelSink, Fanout, Heartbeat, JsonlSink, Observer};
 pub use span::{Span, TraceId};

@@ -1,5 +1,5 @@
-//! The metrics registry: counters, gauges, and log-bucket histograms,
-//! all atomics-only so hot paths record without locks.
+//! Metrics: gauges and log-bucket histograms, all atomics-only so hot
+//! paths record without locks.
 //!
 //! Two layers:
 //!
@@ -8,18 +8,18 @@
 //!   vectors (which grow without bound) in [`crate::RunReport`]:
 //!   recording is O(1), merging is per-bucket addition, and memory is
 //!   a constant 65 words no matter how many samples arrive.
-//! - [`AtomicHistogram`], [`Counter`], and [`Gauge`] are the live,
-//!   shared counterparts handed out by a [`Registry`]. Histograms are
-//!   sharded across [`SHARDS`] bucket arrays (one picked per thread)
-//!   so concurrent recorders do not contend on a cache line; a
-//!   snapshot merges the shards back into a [`Histogram`].
+//! - [`AtomicHistogram`] and [`Gauge`] are the live, shared
+//!   counterparts a long-running service embeds in its own state.
+//!   Histograms are sharded across [`SHARDS`] bucket arrays (one
+//!   picked per thread) so concurrent recorders do not contend on a
+//!   cache line; a snapshot merges the shards back into a
+//!   [`Histogram`].
 //!
 //! The cost discipline matches `kiss-fault`'s idle failpoint: one
 //! recording is a relaxed `fetch_add` on a thread-local shard — no
 //! locks, no allocation, no ordering stronger than `Relaxed`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
 
@@ -173,29 +173,6 @@ impl Histogram {
     }
 }
 
-/// A monotonically increasing counter.
-#[derive(Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The current total.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// An up/down gauge that also remembers its high-water mark.
 #[derive(Default)]
 pub struct Gauge {
@@ -284,87 +261,6 @@ impl AtomicHistogram {
             }
         }
         h
-    }
-}
-
-/// Named-metric storage inside a [`Registry`].
-#[derive(Default)]
-struct RegistryInner {
-    counters: Vec<(String, Arc<Counter>)>,
-    gauges: Vec<(String, Arc<Gauge>)>,
-    histograms: Vec<(String, Arc<AtomicHistogram>)>,
-}
-
-fn get_or_insert<T: Default>(list: &mut Vec<(String, Arc<T>)>, name: &str) -> Arc<T> {
-    if let Some((_, v)) = list.iter().find(|(n, _)| n == name) {
-        return v.clone();
-    }
-    let v = Arc::new(T::default());
-    list.push((name.to_string(), v.clone()));
-    v
-}
-
-/// A registry of named metrics. Registration takes a lock (it happens
-/// once, at setup); the returned handles are plain atomics, so the
-/// recording paths never touch the registry again.
-#[derive(Default)]
-pub struct Registry {
-    inner: Mutex<RegistryInner>,
-}
-
-/// Everything a [`Registry`] held at one instant.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Counter totals, sorted by name.
-    pub counters: Vec<(String, u64)>,
-    /// Gauge `(name, value, peak)` triples, sorted by name.
-    pub gauges: Vec<(String, u64, u64)>,
-    /// Histogram snapshots, sorted by name.
-    pub histograms: Vec<(String, Histogram)>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// The counter named `name`, created on first use.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        get_or_insert(&mut self.inner.lock().expect("registry lock").counters, name)
-    }
-
-    /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        get_or_insert(&mut self.inner.lock().expect("registry lock").gauges, name)
-    }
-
-    /// The histogram named `name`, created on first use.
-    pub fn histogram(&self, name: &str) -> Arc<AtomicHistogram> {
-        get_or_insert(&mut self.inner.lock().expect("registry lock").histograms, name)
-    }
-
-    /// A point-in-time snapshot of every registered metric, sorted by
-    /// name.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().expect("registry lock");
-        let mut snap = MetricsSnapshot {
-            counters: inner.counters.iter().map(|(n, c)| (n.clone(), c.get())).collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(n, g)| (n.clone(), g.get(), g.peak()))
-                .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(n, h)| (n.clone(), h.snapshot()))
-                .collect(),
-        };
-        snap.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        snap.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        snap.histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        snap
     }
 }
 
@@ -465,22 +361,5 @@ mod tests {
         g.dec();
         g.dec(); // saturates at zero
         assert_eq!(g.get(), 0);
-    }
-
-    #[test]
-    fn registry_hands_out_shared_handles_and_snapshots() {
-        let reg = Registry::new();
-        let a = reg.counter("requests");
-        let b = reg.counter("requests");
-        a.inc();
-        b.add(2);
-        assert_eq!(a.get(), 3, "same name, same counter");
-        reg.gauge("in_flight").set(5);
-        reg.histogram("latency").record(9);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters, vec![("requests".to_string(), 3)]);
-        assert_eq!(snap.gauges, vec![("in_flight".to_string(), 5, 5)]);
-        assert_eq!(snap.histograms.len(), 1);
-        assert_eq!(snap.histograms[0].1.count(), 1);
     }
 }

@@ -28,12 +28,10 @@ pub struct EngineTotals {
     /// Distinct states recorded (final attempts).
     pub states: u64,
     /// Bytes held by the engines' state stores (final attempts,
-    /// summed). Parses as 0 from reports written before the gauge
-    /// existed.
+    /// summed).
     pub store_bytes: u64,
     /// Instructions actually executed including parallel speculation
     /// (final attempts, summed; equals `steps` for serial runs).
-    /// Parses as 0 from reports written before the gauge existed.
     pub speculative_steps: u64,
     /// Wall-clock milliseconds spent.
     pub wall_ms: u64,
@@ -67,10 +65,7 @@ pub struct RunReport {
     /// Requests that missed (or bypassed) the cache and ran a check.
     pub cache_misses: u64,
     /// Receive-to-answer request latencies, as a constant-memory
-    /// log-bucket histogram (millisecond samples). Replaces the old
-    /// per-sample `request_ms` vector, which grew without bound under
-    /// sustained serve traffic; old reports carrying that vector still
-    /// parse (the samples fold into the histogram).
+    /// log-bucket histogram (millisecond samples).
     pub request_latency: Histogram,
     /// Requests rejected with a typed `overloaded` response because the
     /// queue stayed full for the whole admission wait. Counted in
@@ -257,18 +252,8 @@ impl RunReport {
                         checks: e.get("checks")?.as_u64()?,
                         steps: e.get("steps")?.as_u64()?,
                         states: e.get("states")?.as_u64()?,
-                        // Tolerate reports from before the store gauge
-                        // existed (resumed journals, old traces).
-                        store_bytes: e
-                            .get("store_bytes")
-                            .and_then(Json::as_u64)
-                            .unwrap_or(0),
-                        // Likewise for the speculation gauge, which
-                        // postdates the store one.
-                        speculative_steps: e
-                            .get("speculative_steps")
-                            .and_then(Json::as_u64)
-                            .unwrap_or(0),
+                        store_bytes: e.get("store_bytes")?.as_u64()?,
+                        speculative_steps: e.get("speculative_steps")?.as_u64()?,
                         wall_ms: e.get("wall_ms")?.as_u64()?,
                     },
                 ))
@@ -287,28 +272,13 @@ impl RunReport {
                 .iter()
                 .map(Json::as_u64)
                 .collect::<Option<Vec<_>>>()?,
-            // The serving fields postdate the format; reports written
-            // before kiss-serve existed parse with zero requests.
-            requests: v.get("requests").and_then(Json::as_u64).unwrap_or(0),
-            cache_hits: v.get("cache_hits").and_then(Json::as_u64).unwrap_or(0),
-            cache_misses: v.get("cache_misses").and_then(Json::as_u64).unwrap_or(0),
-            // Current reports carry the histogram; reports written when
-            // latencies were stored per-sample carry a `request_ms`
-            // array instead, which folds into an equivalent histogram.
-            request_latency: match v.get("request_latency") {
-                Some(h) => Histogram::from_value(h)?,
-                None => Histogram::from_samples(
-                    v.get("request_ms")
-                        .and_then(Json::as_arr)
-                        .map(|xs| xs.iter().map(Json::as_u64).collect::<Option<Vec<_>>>())
-                        .unwrap_or_else(|| Some(Vec::new()))?,
-                ),
-            },
-            // Robustness counters postdate the serving fields; older
-            // reports parse with zeros.
-            requests_shed: v.get("requests_shed").and_then(Json::as_u64).unwrap_or(0),
-            faults_injected: v.get("faults_injected").and_then(Json::as_u64).unwrap_or(0),
-            client_retries: v.get("client_retries").and_then(Json::as_u64).unwrap_or(0),
+            requests: v.get("requests")?.as_u64()?,
+            cache_hits: v.get("cache_hits")?.as_u64()?,
+            cache_misses: v.get("cache_misses")?.as_u64()?,
+            request_latency: Histogram::from_value(v.get("request_latency")?)?,
+            requests_shed: v.get("requests_shed")?.as_u64()?,
+            faults_injected: v.get("faults_injected")?.as_u64()?,
+            client_retries: v.get("client_retries")?.as_u64()?,
         })
     }
 
@@ -456,16 +426,14 @@ mod tests {
     }
 
     #[test]
-    fn reports_without_store_bytes_still_parse() {
-        // Journals written before the store gauge existed lack the
-        // field; resumed runs must still merge them.
+    fn reports_without_store_bytes_do_not_parse() {
+        // A report missing a field is malformed, not an old format:
+        // the journal drops it and keeps every field record.
         let old = "{\"checks\":1,\"retries\":0,\"outcomes\":{\"pass\":1},\
                    \"bound_reasons\":{},\"engines\":{\"explicit\":{\"checks\":1,\
                    \"steps\":7,\"states\":3,\"wall_ms\":2}},\"wall_ms\":2,\
                    \"durations_ms\":[2]}";
-        let r = RunReport::from_json(old).expect("old report must parse");
-        assert_eq!(r.engines["explicit"].store_bytes, 0);
-        assert_eq!(r.engines["explicit"].steps, 7);
+        assert_eq!(RunReport::from_json(old), None);
     }
 
     #[test]
@@ -482,7 +450,7 @@ mod tests {
     }
 
     #[test]
-    fn speculative_steps_accumulate_and_tolerate_old_reports() {
+    fn speculative_steps_accumulate_and_are_required() {
         let mut r = RunReport::default();
         let mut m = metric("pass", "bfs", 100, 4);
         m.speculative_steps = 130;
@@ -492,15 +460,16 @@ mod tests {
         assert!(r.render().contains("260 speculative steps (60 wasted)"), "{}", r.render());
         let back = RunReport::from_json(&r.to_json()).unwrap();
         assert_eq!(back.engines["bfs"].speculative_steps, 260);
-        // Reports written before the gauge existed parse with zero and
-        // render without the speculation line.
+        // A serial run renders without the speculation line.
+        let mut serial = RunReport::default();
+        serial.observe(&metric("pass", "bfs", 7, 2));
+        assert!(!serial.render().contains("speculative"));
+        // A report without the gauge does not parse.
         let old = "{\"checks\":1,\"retries\":0,\"outcomes\":{\"pass\":1},\
                    \"bound_reasons\":{},\"engines\":{\"bfs\":{\"checks\":1,\
-                   \"steps\":7,\"states\":3,\"wall_ms\":2}},\"wall_ms\":2,\
-                   \"durations_ms\":[2]}";
-        let r = RunReport::from_json(old).expect("old report must parse");
-        assert_eq!(r.engines["bfs"].speculative_steps, 0);
-        assert!(!r.render().contains("speculative"));
+                   \"steps\":7,\"states\":3,\"store_bytes\":0,\"wall_ms\":2}},\
+                   \"wall_ms\":2,\"durations_ms\":[2]}";
+        assert_eq!(RunReport::from_json(old), None);
     }
 
     #[test]
@@ -527,21 +496,18 @@ mod tests {
         assert!(text.contains("4 requests"));
         assert!(text.contains("75% hit-rate"));
         assert!(text.contains("latency"));
-        // Reports predating kiss-serve lack the fields entirely.
+        assert!(!RunReport::default().render().contains("serving"));
+        // A report without the serving fields does not parse, and
+        // neither does one carrying a per-sample `request_ms` array in
+        // place of the histogram.
         let old = "{\"checks\":0,\"retries\":0,\"outcomes\":{},\"bound_reasons\":{},\
                    \"engines\":{},\"wall_ms\":0,\"durations_ms\":[]}";
-        let parsed = RunReport::from_json(old).expect("old report must parse");
-        assert_eq!(parsed.requests, 0);
-        assert!(parsed.request_latency.is_empty());
-        assert!(!parsed.render().contains("serving"));
-        // Reports from the per-sample era carry a `request_ms` array;
-        // the samples fold into an equivalent histogram.
+        assert_eq!(RunReport::from_json(old), None);
         let sampled = "{\"checks\":0,\"retries\":0,\"outcomes\":{},\"bound_reasons\":{},\
                        \"engines\":{},\"wall_ms\":0,\"durations_ms\":[],\
                        \"requests\":4,\"cache_hits\":3,\"cache_misses\":1,\
                        \"request_ms\":[1,2,3,40]}";
-        let parsed = RunReport::from_json(sampled).expect("per-sample report must parse");
-        assert_eq!(parsed.request_latency, r.request_latency);
+        assert_eq!(RunReport::from_json(sampled), None);
     }
 
     #[test]
@@ -566,15 +532,13 @@ mod tests {
         let text = r.render();
         assert!(text.contains("3 shed"));
         assert!(text.contains("5 injected, 2 client retries"));
-        // Reports written before the robustness counters parse as zero.
+        assert!(!RunReport::default().render().contains("faults"));
+        // A report without the robustness counters does not parse.
         let old = "{\"checks\":0,\"retries\":0,\"outcomes\":{},\"bound_reasons\":{},\
                    \"engines\":{},\"wall_ms\":0,\"durations_ms\":[],\
-                   \"requests\":1,\"cache_hits\":1,\"cache_misses\":0,\"request_ms\":[1]}";
-        let parsed = RunReport::from_json(old).expect("pre-robustness report must parse");
-        assert_eq!(parsed.requests_shed, 0);
-        assert_eq!(parsed.faults_injected, 0);
-        assert_eq!(parsed.client_retries, 0);
-        assert!(!parsed.render().contains("faults"));
+                   \"requests\":1,\"cache_hits\":1,\"cache_misses\":0,\
+                   \"request_latency\":{\"count\":1,\"buckets\":[[1,1]]}}";
+        assert_eq!(RunReport::from_json(old), None);
     }
 
     #[test]

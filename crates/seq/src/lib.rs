@@ -20,7 +20,7 @@
 //! All three agree on verdicts; an integration test checks this on a
 //! program corpus. The explicit and BFS engines (and kiss-ltl's product
 //! engine) execute instructions through the one shared [`step::step`];
-//! the summary engine binds calls through [`step::bind_call`].
+//! the summary engine binds calls through `step::bind_call`.
 
 pub mod bfs;
 pub mod budget;

@@ -8,7 +8,7 @@
 //! where to record states, what to do at a branch, and how a failed
 //! `assert` or `assume` ends a path. The summary engine keeps its own
 //! frame model (locals without a stack) but binds calls through
-//! [`bind_call`] too.
+//! `bind_call` too.
 
 use kiss_exec::{eval, Env, ExecError, Instr, Module, Value};
 use kiss_lang::hir::{CallTarget, FuncId, Operand};

@@ -299,7 +299,7 @@ impl ResultCache {
     }
 
     /// Overrides the auto-compaction floor (tests shrink it; the
-    /// default is [`Self::AUTO_COMPACT_MIN`] records).
+    /// default is `AUTO_COMPACT_MIN` records).
     pub fn with_auto_compact_min(self, min: usize) -> ResultCache {
         self.journal.lock().expect("journal lock").auto_compact_min = min;
         self

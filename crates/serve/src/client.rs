@@ -33,6 +33,7 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use kiss_obs::span::splitmix64;
 use kiss_obs::{Event, Obs, TraceId};
 
 use crate::protocol::{decode_response, Batch, CacheStatus, Request, Response, ServeSnapshot};
@@ -148,17 +149,6 @@ impl SubmitOptions {
             % (half.as_millis().max(1) as u64 + 1);
         half + Duration::from_millis(jitter_ms)
     }
-}
-
-/// The splitmix64 mixer: a full-period permutation of `u64`, good
-/// enough to decorrelate jitter and cheap enough to keep this crate
-/// dependency-free.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// How one batch entry was answered, from the entry's point of view.

@@ -16,7 +16,6 @@
 //! | [`seq`]  | `kiss-seq`  | sequential checkers (the SLAM stand-in) |
 //! | [`conc`] | `kiss-conc` | interleaving explorer, balanced schedules, dynamic checker |
 //! | [`alias`]| `kiss-alias`| unification points-to analysis |
-//! | [`atom`] | `kiss-atom` | Lipton-reduction atomicity analysis (ref \[20\]) |
 //! | [`core`] | `kiss-core` | **the KISS transformation**, trace back-mapping, checker |
 //! | [`ltl`]  | `kiss-ltl`  | LTL liveness: formulas, Büchi tableau, product exploration |
 //! | [`obs`]  | `kiss-obs`  | structured events, run reports, trace/metrics sinks |
@@ -48,7 +47,6 @@
 //! ```
 
 pub use kiss_alias as alias;
-pub use kiss_atom as atom;
 pub use kiss_conc as conc;
 pub use kiss_core as core;
 pub use kiss_drivers as drivers;
