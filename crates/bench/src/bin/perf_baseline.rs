@@ -6,7 +6,7 @@
 //!     [--quick] [--iters <n>] [--jobs <n>] [--out <path>] [--compare <path>]
 //! ```
 //!
-//! Four measurements, written as one JSON object (default
+//! Three measurements, written as one JSON object (default
 //! `BENCH_seq.json`, the checked-in baseline):
 //!
 //! * **engines** — each sequential engine (`explicit`, `bfs`,
@@ -19,25 +19,15 @@
 //!   the serial/parallel ratio is recorded alongside the raw numbers.
 //! * **memory** — one BFS pass over the samples recording the state
 //!   store's gauges: states stored, store bytes, and the peak frontier.
-//! * **parallel_explore** — one wide-layer BFS workload explored with
-//!   1, 2, and 4 workers inside a *single* check (`--explore-jobs`).
-//!   Steps, stored states, and the frontier peak must be identical at
-//!   every worker count — the run aborts if they diverge — and the
-//!   recorded `hardware_threads` says how much parallelism the
-//!   measuring machine could actually express: on fewer cores than
-//!   workers the extra legs measure overhead, not speedup, so consumers
-//!   (and the `--compare` gate) only read the legs the machine covers.
 //!
 //! `--quick` shrinks the iteration count and the table budget for CI
 //! smoke use. `--compare <path>` reads a previously written baseline
 //! and exits 1 if any engine's steps/sec regressed more than 30%
-//! against it, if the BFS store-bytes footprint grew more than 50%, or
-//! if a parallel-exploration leg the machine can express regressed
-//! more than 30% (each gate only when the baseline records its
-//! section) — engine throughput and store footprint are
-//! workload-independent across modes, so a `--quick` run may be
-//! compared against a full baseline (the table numbers are
-//! informational and never gated).
+//! against it, or if the BFS store-bytes footprint grew more than 50%
+//! (only when the baseline records a memory section) — engine
+//! throughput and store footprint are workload-independent across
+//! modes, so a `--quick` run may be compared against a full baseline
+//! (the table numbers are informational and never gated).
 
 use std::time::Instant;
 
@@ -146,40 +136,6 @@ fn measure_memory(programs: &[kiss_lang::hir::Program]) -> (u64, u64, u64) {
     (stored, bytes, frontier)
 }
 
-/// The parallel-exploration workload: three independent 6-way choice
-/// layers fan the BFS frontier out to hundreds of distinct states, and
-/// the trailing counter loop gives every branch a long chain of
-/// single-successor segments — wide enough to keep several workers
-/// busy, deep enough that per-layer coordination cost cannot dominate.
-fn parallel_workload() -> kiss_lang::hir::Program {
-    let source = "
-        int a; int b; int c; int w;
-        void main() {
-            choice { a = 1; [] a = 2; [] a = 3; [] a = 4; [] a = 5; [] a = 6; }
-            choice { b = 1; [] b = 2; [] b = 3; [] b = 4; [] b = 5; [] b = 6; }
-            choice { c = 1; [] c = 2; [] c = 3; [] c = 4; [] c = 5; [] c = 6; }
-            iter { w = w + a + b + c; assume w <= 150; }
-            assert w + a + b + c > 0;
-        }";
-    kiss_lang::parse_and_lower(source).expect("workload parses")
-}
-
-/// One parallel-exploration pass; returns the deterministic gauges
-/// `(steps, states_stored, frontier_peak)`.
-fn run_parallel_explore(
-    workload: &kiss_lang::hir::Program,
-    jobs: usize,
-) -> (u64, u64, u64) {
-    let outcome = Kiss::new()
-        .with_engine(Engine::Bfs)
-        .with_explore_jobs(jobs)
-        .with_validation(false)
-        .with_budget(Budget::steps_states(10_000_000, 200_000))
-        .check_assertions(workload);
-    let st = outcome.stats().expect("workload runs under every engine");
-    (st.steps(), st.seq.states_stored as u64, st.seq.frontier_peak as u64)
-}
-
 /// End-to-end corpus run at `budget`, returning wall-clock
 /// microseconds.
 fn run_table1(budget: Budget, jobs: usize) -> u64 {
@@ -239,48 +195,6 @@ fn regressions(current: &str, baseline: &str) -> Result<Vec<String>, String> {
             failed.push("bfs store bytes".to_string());
         }
     }
-    // Parallel-exploration legs gate like engines (30% floor), but a
-    // leg only arms when the measuring machine has at least as many
-    // hardware threads as the leg has workers: with fewer cores the
-    // leg measures thread-coordination overhead on a saturated
-    // machine, which is real but not a throughput promise this repo
-    // can hold. Baselines predating the section never gate.
-    if let Some(base_jobs) =
-        base.get("parallel_explore").and_then(|p| p.get("jobs")).and_then(Json::as_obj)
-    {
-        let cur_pe = cur
-            .get("parallel_explore")
-            .ok_or("current run has no parallel_explore section")?;
-        let threads =
-            cur_pe.get("hardware_threads").and_then(Json::as_u64).unwrap_or(1);
-        for (jobs, b) in base_jobs {
-            let workers: u64 = jobs.parse().map_err(|_| "bad baseline jobs key")?;
-            if threads < workers {
-                println!(
-                    "compare parallel explore jobs={jobs}: skipped \
-                     ({threads} hardware threads cannot express {workers} workers)"
-                );
-                continue;
-            }
-            let b_rate =
-                b.get("steps_per_sec").and_then(Json::as_u64).ok_or("bad baseline rate")?;
-            let c_rate = cur_pe
-                .get("jobs")
-                .and_then(|j| j.get(jobs))
-                .and_then(|j| j.get("steps_per_sec"))
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("current run has no parallel leg at jobs={jobs}"))?;
-            let floor = (b_rate as f64) * 0.70;
-            println!(
-                "compare parallel explore jobs={jobs}: current {c_rate} steps/s vs \
-                 baseline {b_rate} (floor {})",
-                floor as u64
-            );
-            if (c_rate as f64) < floor {
-                failed.push(format!("parallel explore jobs={jobs}"));
-            }
-        }
-    }
     Ok(failed)
 }
 
@@ -335,69 +249,18 @@ fn main() {
          frontier peak {frontier_peak}"
     );
 
-    // Parallel exploration: the same wide-layer workload at 1, 2, and
-    // 4 workers inside one check. The gauges are the determinism gate:
-    // any divergence from the serial leg means the parallel engine
-    // explored a different state space, which is a bug, not a perf
-    // result.
-    let workload = parallel_workload();
-    let hardware_threads = default_jobs() as u64;
-    let (serial_steps, serial_stored, serial_frontier) = run_parallel_explore(&workload, 1);
-    let mut explore_json = Vec::new();
-    let mut serial_wall = 0u64;
-    for jobs in [1usize, 2, 4] {
-        let mut walls = Vec::with_capacity(opts.iters);
-        let mut gauges = (0u64, 0u64, 0u64);
-        for _ in 0..opts.iters {
-            let t0 = Instant::now();
-            gauges = run_parallel_explore(&workload, jobs);
-            walls.push(t0.elapsed().as_micros() as u64);
-        }
-        if gauges != (serial_steps, serial_stored, serial_frontier) {
-            eprintln!(
-                "perf_baseline: parallel exploration diverged at jobs={jobs}: \
-                 (steps, stored, frontier) {gauges:?} vs serial \
-                 {:?}",
-                (serial_steps, serial_stored, serial_frontier)
-            );
-            std::process::exit(1);
-        }
-        let wall_us = median(walls);
-        if jobs == 1 {
-            serial_wall = wall_us;
-        }
-        let rate = steps_per_sec(serial_steps, wall_us);
-        let speedup = serial_wall as f64 / wall_us.max(1) as f64;
-        println!(
-            "parallel explore jobs={jobs}: median {wall_us} us, {rate} steps/s \
-             (speedup {speedup:.2}x over serial)"
-        );
-        explore_json.push(format!(
-            "\"{jobs}\":{{\"wall_us_median\":{wall_us},\"steps_per_sec\":{rate}}}"
-        ));
-    }
-    println!(
-        "parallel explore gauges: {serial_steps} steps, {serial_stored} states stored, \
-         frontier peak {serial_frontier}, {hardware_threads} hardware threads \
-         (legs beyond the thread count measure overhead, not speedup)"
-    );
-
     let json = format!(
         "{{\"version\":2,\"quick\":{},\"iters\":{},\"engines\":{{{}}},\
          \"table1\":{{\"budget_max_steps\":{},\"budget_max_states\":{},\
          \"serial_wall_us\":{serial_us},\"parallel_wall_us\":{parallel_us},\"jobs\":{}}},\
          \"memory\":{{\"bfs_states_stored\":{stored},\"bfs_store_bytes\":{store_bytes},\
-         \"bfs_frontier_peak\":{frontier_peak}}},\
-         \"parallel_explore\":{{\"hardware_threads\":{hardware_threads},\
-         \"steps\":{serial_steps},\"states_stored\":{serial_stored},\
-         \"frontier_peak\":{serial_frontier},\"jobs\":{{{}}}}}}}\n",
+         \"bfs_frontier_peak\":{frontier_peak}}}}}\n",
         opts.quick,
         opts.iters,
         engine_json.join(","),
         budget.max_steps,
         budget.max_states,
         opts.jobs,
-        explore_json.join(","),
     );
     if let Err(e) = std::fs::write(&opts.out, &json) {
         eprintln!("perf_baseline: cannot write {}: {e}", opts.out);

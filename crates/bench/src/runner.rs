@@ -11,7 +11,6 @@
 //! --mem-limit <mb>     approximate memory cap per field check
 //! --retries <n>        escalating retries for inconclusive checks
 //! --jobs <n>           worker threads for field checks (default: all cores)
-//! --explore-jobs <n>   worker threads inside each BFS check (default 1)
 //! --journal <path>     journal completed (driver, field) checks here
 //! --resume             reuse the journal from a killed run
 //! --trace-out <path>   write a JSONL event trace of the whole run
@@ -44,10 +43,6 @@ pub struct RunOptions {
     pub retries: u32,
     /// Worker threads for field checks (1 = serial).
     pub jobs: usize,
-    /// Worker threads inside each single BFS check (1 = serial). A
-    /// throughput knob, never a semantics knob: results stay
-    /// byte-identical to a serial run.
-    pub explore_jobs: usize,
     /// Journal path, if journaling was requested.
     pub journal: Option<String>,
     /// Whether to reuse an existing journal instead of truncating it.
@@ -71,7 +66,6 @@ impl RunOptions {
         let mut budget = default_budget();
         let mut retries = 0u32;
         let mut jobs = default_jobs();
-        let mut explore_jobs = 1usize;
         let mut journal: Option<String> = None;
         let mut resume = false;
         let mut trace_out: Option<String> = None;
@@ -95,12 +89,6 @@ impl RunOptions {
                     jobs = parse_value(&arg, args.next())?;
                     if jobs == 0 {
                         return Err(format!("--jobs needs at least 1\n{USAGE}"));
-                    }
-                }
-                "--explore-jobs" => {
-                    explore_jobs = parse_value(&arg, args.next())?;
-                    if explore_jobs == 0 {
-                        return Err(format!("--explore-jobs needs at least 1\n{USAGE}"));
                     }
                 }
                 "--journal" => {
@@ -127,7 +115,6 @@ impl RunOptions {
             budget,
             retries,
             jobs,
-            explore_jobs,
             journal,
             resume,
             trace_out,
@@ -147,7 +134,6 @@ impl RunOptions {
             .with_retries(self.retries)
             .with_cancel(cancel)
             .with_observer(obs)
-            .with_explore_jobs(self.explore_jobs)
     }
 
     /// Builds the observer pipeline these options describe. Returns
@@ -215,9 +201,8 @@ impl RunOptions {
 }
 
 const USAGE: &str = "options: --timeout <secs> --max-steps <n> --max-states <n> \
-                     --mem-limit <mb> --retries <n> --jobs <n> --explore-jobs <n> \
-                     --journal <path> --resume --trace-out <path> --metrics <path> \
-                     --progress";
+                     --mem-limit <mb> --retries <n> --jobs <n> --journal <path> \
+                     --resume --trace-out <path> --metrics <path> --progress";
 
 /// The default for `--jobs`: every available core.
 pub fn default_jobs() -> usize {
@@ -297,15 +282,6 @@ mod tests {
         assert!(parse(&["--jobs", "0"]).is_err());
         assert!(parse(&["--jobs"]).is_err());
         assert!(parse(&["--jobs", "several"]).is_err());
-    }
-
-    #[test]
-    fn explore_jobs_defaults_to_serial_and_rejects_zero() {
-        assert_eq!(parse(&[]).unwrap().explore_jobs, 1);
-        assert_eq!(parse(&["--explore-jobs", "4"]).unwrap().explore_jobs, 4);
-        assert!(parse(&["--explore-jobs", "0"]).is_err());
-        assert!(parse(&["--explore-jobs"]).is_err());
-        assert!(parse(&["--explore-jobs", "several"]).is_err());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Exploration pinned over the full sample corpus: a golden table for
-//! every engine, and serial-vs-parallel equivalence for BFS.
+//! every engine.
 //!
 //! The golden table fixes, for every sample and every engine, the
 //! verdict, the steps executed, the states recorded, the paths
@@ -9,41 +9,19 @@
 //! per global. Any rewrite of the
 //! step loop or the state store must leave every row unchanged: the
 //! engines may get faster or leaner, never explore differently.
-//!
-//! Parallel BFS exploration makes the same promise on a second axis:
-//! the worker count changes *when* states are speculated, never which
-//! states are committed or in what order, so a `jobs > 1` run must be
-//! indistinguishable from serial on every compared field.
 
 use kiss_core::checker::{Engine, Kiss, KissOutcome};
 use kiss_seq::Budget;
 
-fn kiss(engine: Engine, jobs: usize) -> Kiss {
+fn kiss(engine: Engine) -> Kiss {
     Kiss::new()
         .with_engine(engine)
-        .with_explore_jobs(jobs)
         .with_validation(false)
         .with_budget(Budget::steps_states(2_000_000, 60_000))
 }
 
-fn outcome_jobs(sample: &kiss_samples::Sample, engine: Engine, jobs: usize) -> KissOutcome {
-    kiss(engine, jobs).check_assertions(&sample.program())
-}
-
-/// The error trace, when the outcome carries one, as comparable
-/// `(thread, func, pc)` triples.
-fn trace_of(outcome: &KissOutcome) -> Option<Vec<String>> {
-    match outcome {
-        KissOutcome::AssertionViolation(report) => Some(
-            report
-                .mapped
-                .steps
-                .iter()
-                .map(|s| format!("{s:?}"))
-                .collect(),
-        ),
-        _ => None,
-    }
+fn outcome(sample: &kiss_samples::Sample, engine: Engine) -> KissOutcome {
+    kiss(engine).check_assertions(&sample.program())
 }
 
 /// FNV-1a over the mapped trace's `(tid, line, col)` triples; `-` when
@@ -94,11 +72,11 @@ fn sample_rows(sample: &kiss_samples::Sample) -> Vec<String> {
     let program = sample.program();
     let mut rows = Vec::new();
     for engine in [Engine::Explicit, Engine::Bfs, Engine::Summary] {
-        rows.push(row(sample.name, engine, &outcome_jobs(sample, engine, 1)));
+        rows.push(row(sample.name, engine, &outcome(sample, engine)));
     }
     for global in &program.globals {
         for engine in [Engine::Explicit, Engine::Bfs, Engine::Summary] {
-            let outcome = kiss(engine, 1)
+            let outcome = kiss(engine)
                 .check_race_spec(&program, &global.name)
                 .expect("every global is a race target");
             rows.push(row(&format!("{}/{}", sample.name, global.name), engine, &outcome));
@@ -106,7 +84,7 @@ fn sample_rows(sample: &kiss_samples::Sample) -> Vec<String> {
         for formula in ["G ({g} == 0)", "F G ({g} == 0)"] {
             let formula = formula.replace("{g}", &global.name);
             let parsed = kiss_ltl::parse(&formula).expect("well-formed formula");
-            let outcome = kiss(Engine::Explicit, 1)
+            let outcome = kiss(Engine::Explicit)
                 .check_ltl(&program, &parsed)
                 .expect("every global is a proposition");
             let stats = outcome.stats();
@@ -350,52 +328,6 @@ fn every_engine_matches_the_golden_exploration_table() {
 }
 
 #[test]
-fn parallel_bfs_explores_identically_to_serial() {
-    // The serial|parallel axis: a multi-worker BFS run commits the same
-    // states in the same order as a serial one, so every compared field
-    // — verdict, steps, states, paths, trace — must be byte-identical.
-    // Speculative-step gauges are the one legitimate difference.
-    for sample in kiss_samples::all() {
-        let serial = outcome_jobs(&sample, Engine::Bfs, 1);
-        for jobs in [2, 4] {
-            let parallel = outcome_jobs(&sample, Engine::Bfs, jobs);
-            let label = format!("{} at jobs={jobs}", sample.name);
-            assert_eq!(
-                serial.verdict_str(),
-                parallel.verdict_str(),
-                "verdicts diverge for {label}"
-            );
-            let (ss, ps) = (serial.stats(), parallel.stats());
-            assert_eq!(
-                ss.map(|s| s.steps()),
-                ps.map(|s| s.steps()),
-                "steps diverge for {label}"
-            );
-            assert_eq!(
-                ss.map(|s| s.states()),
-                ps.map(|s| s.states()),
-                "states diverge for {label}"
-            );
-            assert_eq!(
-                ss.map(|s| s.seq.paths),
-                ps.map(|s| s.seq.paths),
-                "paths diverge for {label}"
-            );
-            assert_eq!(
-                ss.map(|s| s.seq.states_stored),
-                ps.map(|s| s.seq.states_stored),
-                "stored-state counts diverge for {label}"
-            );
-            assert_eq!(
-                trace_of(&serial),
-                trace_of(&parallel),
-                "traces diverge for {label}"
-            );
-        }
-    }
-}
-
-#[test]
 fn the_default_engine_is_explicit() {
     // A sample checked through the builder's defaults matches an
     // explicitly selected explicit engine, so existing callers keep it.
@@ -404,5 +336,5 @@ fn the_default_engine_is_explicit() {
         .with_validation(false)
         .with_budget(Budget::steps_states(2_000_000, 60_000))
         .check_assertions(&sample.program());
-    assert_eq!(default, outcome_jobs(&sample, Engine::Explicit, 1));
+    assert_eq!(default, outcome(&sample, Engine::Explicit));
 }

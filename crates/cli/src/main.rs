@@ -2,10 +2,9 @@
 //!
 //! ```text
 //! kissc check <file.kc> [--max-ts N] [--engine explicit|summary|bfs] [--no-validate]
-//!                       [--explore-jobs N]
 //!                       [--timeout S] [--max-steps N] [--max-states N] [--retries N]
 //!                       [--stats] [--trace-out PATH] [--metrics PATH] [--progress]
-//! kissc race <file.kc> <target> [--max-ts N] [--no-prune] [--explore-jobs N]
+//! kissc race <file.kc> <target> [--max-ts N] [--no-prune]
 //!                       [--timeout S] [--max-steps N] [--max-states N] [--retries N]
 //!                       [--stats] [--trace-out PATH] [--metrics PATH] [--progress]
 //! kissc transform <file.kc> [--max-ts N] [--race <target>]
@@ -78,10 +77,10 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   kissc check <file.kc> [--max-ts N] [--engine explicit|summary|bfs] [--no-validate]
-                        [--ltl FORMULA] [--explore-jobs N]
+                        [--ltl FORMULA]
                         [--timeout S] [--max-steps N] [--max-states N] [--retries N]
                         [--stats] [--trace-out PATH] [--metrics PATH] [--progress]
-  kissc race <file.kc> <target> [--max-ts N] [--no-prune] [--explore-jobs N]
+  kissc race <file.kc> <target> [--max-ts N] [--no-prune]
                         [--timeout S] [--max-steps N] [--max-states N] [--retries N]
                         [--stats] [--trace-out PATH] [--metrics PATH] [--progress]
   kissc transform <file.kc> [--max-ts N] [--race <target>]
@@ -137,13 +136,7 @@ liveness (check, submit):
                     (propositions: `name` or `name OP INT`; operators
                     G F X U R ! && || -> <->). A violation prints the
                     stem and repeating cycle of a concrete lasso and
-                    exits 5; the exploration honours --explore-jobs
-                    with byte-identical results at any worker count
-
-exploration (check, race):
-  --explore-jobs N    worker threads exploring a single check (default 1);
-                      BFS engine and --ltl only, results are byte-identical
-                      to a serial run (also accepted by submit)
+                    exits 5
 
 observability (check, race):
   --stats           print an engine-statistics line after the verdict
@@ -232,7 +225,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 "bfs" => Engine::Bfs,
                 other => return Err(format!("unknown engine `{other}`")),
             };
-            let explore_jobs = explore_jobs_flag(&mut flags)?;
             let validate = !flags.flag("--no-validate");
             let ltl = ltl_flag(&mut flags)?;
             let (budget, retries) = bound_flags(&mut flags)?;
@@ -252,7 +244,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 let kiss = Kiss::new()
                     .with_max_ts(max_ts)
                     .with_engine(engine)
-                    .with_explore_jobs(explore_jobs)
                     .with_validation(validate)
                     .with_budget(b)
                     .with_cancel(token)
@@ -272,7 +263,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let target = flags.positional().ok_or("missing <target>")?;
             let max_ts: usize = parse_num(flags.value("--max-ts")?.unwrap_or("0"))?;
             let prune = !flags.flag("--no-prune");
-            let explore_jobs = explore_jobs_flag(&mut flags)?;
             let (budget, retries) = bound_flags(&mut flags)?;
             let obs_opts = obs_flags(&mut flags)?;
             flags.finish()?;
@@ -288,7 +278,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 Kiss::new()
                     .with_max_ts(max_ts)
                     .with_alias_prune(prune)
-                    .with_explore_jobs(explore_jobs)
                     .with_budget(b)
                     .with_cancel(token)
                     .with_observer(check_obs.clone())
@@ -473,7 +462,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 None => Engine::default(),
                 Some(s) => Engine::parse(s).ok_or_else(|| format!("unknown engine `{s}`"))?,
             };
-            let explore_jobs = explore_jobs_flag(&mut flags)?;
             let max_ts: usize = parse_num(flags.value("--max-ts")?.unwrap_or("0"))?;
             let timeout_ms = flags
                 .value("--timeout")?
@@ -513,7 +501,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 request.max_states = max_states.map(|n| n as u64);
                 request.timeout_ms = timeout_ms;
                 request.no_cache = no_cache;
-                request.explore_jobs = explore_jobs;
                 request
             };
             let mut requests = Vec::new();
@@ -713,24 +700,6 @@ fn endpoint_of(socket: Option<PathBuf>, port: Option<u16>) -> Result<Endpoint, S
 
 fn parse_num(s: &str) -> Result<usize, String> {
     s.parse().map_err(|_| format!("invalid number `{s}`"))
-}
-
-/// Parses the shared `--explore-jobs` flag of `check`, `race`, and
-/// `submit`: the per-check exploration worker count (default 1,
-/// serial). Zero is rejected — "no workers" is not a meaningful
-/// request, and silently clamping it would hide the typo.
-fn explore_jobs_flag(flags: &mut Flags) -> Result<usize, String> {
-    match flags.value("--explore-jobs")? {
-        None => Ok(1),
-        Some(s) => {
-            let n: usize =
-                s.parse().map_err(|_| format!("invalid --explore-jobs `{s}`"))?;
-            if n == 0 {
-                return Err("--explore-jobs must be at least 1".into());
-            }
-            Ok(n)
-        }
-    }
 }
 
 /// Parses the shared `--ltl` flag of `check` and `submit`: an LTL

@@ -241,7 +241,6 @@ pub struct Kiss {
     optimize: bool,
     cancel: CancelToken,
     obs: Obs,
-    explore_jobs: usize,
     trace: TraceId,
     trace_parent: u64,
 }
@@ -265,7 +264,6 @@ impl Kiss {
             optimize: false,
             cancel: CancelToken::default(),
             obs: Obs::off(),
-            explore_jobs: 1,
             trace: TraceId::NONE,
             trace_parent: 0,
         }
@@ -302,13 +300,12 @@ impl Kiss {
         self
     }
 
-    /// Explores each single check with `jobs` worker threads
-    /// (`--explore-jobs <n>`; clamped to at least one). Only the BFS
-    /// and LTL product engines parallelize; the others ignore it.
-    /// Verdicts, traces, and state counts are byte-identical to a
-    /// serial run — this is a throughput knob, never a semantics knob.
-    pub fn with_explore_jobs(mut self, jobs: usize) -> Self {
-        self.explore_jobs = jobs.max(1);
+    /// Ignores `jobs`: every check explores in one serial loop. Kept
+    /// only because the `perfbench` package still calls it; the next
+    /// benchmark-defining change removes it together with perfbench's
+    /// parallel leg.
+    #[doc(hidden)]
+    pub fn with_explore_jobs(self, _jobs: usize) -> Self {
         self
     }
 
@@ -392,8 +389,7 @@ impl Kiss {
     /// accepting lasso. Terminated runs stutter in their final state;
     /// pruned (`assume`-false) paths contribute no run. The `--engine`
     /// selection does not apply — liveness always uses the product
-    /// engine — but budget, cancellation, observer, and `explore_jobs`
-    /// do, and parallel exploration stays byte-identical to serial.
+    /// engine — but budget, cancellation and observer do.
     pub fn check_ltl(
         &self,
         program: &Program,
@@ -440,7 +436,6 @@ impl Kiss {
             .with_budget(self.budget)
             .with_cancel(self.cancel.clone())
             .with_observer(self.obs.clone())
-            .with_jobs(self.explore_jobs)
             .with_trace(trace, self.trace_parent)
             .check_with_stats();
         span.close();
@@ -517,7 +512,6 @@ impl Kiss {
                 .with_budget(self.budget)
                 .with_cancel(self.cancel.clone())
                 .with_observer(self.obs.clone())
-                .with_jobs(self.explore_jobs)
                 .check_with_stats(),
         };
         span.close();
@@ -613,17 +607,6 @@ mod tests {
         // Rendering shows the loop's source text.
         let rendered = crate::report::render_liveness(&prog(SPINLOCK_MUTANT), &report);
         assert!(rendered.contains("cycle"), "{rendered}");
-    }
-
-    #[test]
-    fn ltl_parallel_exploration_matches_serial() {
-        let formula = kiss_ltl::parse("F (locked == 0)").unwrap();
-        let serial = Kiss::new().check_ltl(&prog(SPINLOCK_MUTANT), &formula).unwrap();
-        let parallel = Kiss::new()
-            .with_explore_jobs(4)
-            .check_ltl(&prog(SPINLOCK_MUTANT), &formula)
-            .unwrap();
-        assert_eq!(serial, parallel);
     }
 
     #[test]
@@ -730,17 +713,10 @@ mod tests {
             other => panic!("{label}: expected an arity mismatch, got {other:?}"),
         };
         for engine in [Engine::Explicit, Engine::Summary, Engine::Bfs] {
-            for jobs in [1, 2] {
-                let kiss = Kiss::new().with_engine(engine).with_explore_jobs(jobs);
-                let label = format!("{} at jobs={jobs}", engine.name());
-                expect(kiss.check_assertions(&p), &label);
-            }
+            expect(Kiss::new().with_engine(engine).check_assertions(&p), engine.name());
         }
-        for jobs in [1, 2] {
-            let formula = kiss_ltl::parse("G (g == 0)").unwrap();
-            let outcome = Kiss::new().with_explore_jobs(jobs).check_ltl(&p, &formula).unwrap();
-            expect(outcome, &format!("ltl at jobs={jobs}"));
-        }
+        let formula = kiss_ltl::parse("G (g == 0)").unwrap();
+        expect(Kiss::new().check_ltl(&p, &formula).unwrap(), "ltl");
     }
 
     #[test]

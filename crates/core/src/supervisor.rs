@@ -74,7 +74,6 @@ pub struct Supervisor {
     retries: u32,
     cancel: CancelToken,
     obs: Obs,
-    explore_jobs: usize,
 }
 
 impl Supervisor {
@@ -86,7 +85,6 @@ impl Supervisor {
             retries: 2,
             cancel: CancelToken::default(),
             obs: Obs::off(),
-            explore_jobs: 1,
         }
     }
 
@@ -103,21 +101,6 @@ impl Supervisor {
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
         self
-    }
-
-    /// Sets the worker-thread count each supervised check may use for
-    /// a single BFS exploration (see
-    /// [`Kiss::with_explore_jobs`](crate::checker::Kiss::with_explore_jobs)).
-    /// Carried here so corpus harnesses thread one knob instead of a
-    /// parallel argument through every call chain.
-    pub fn with_explore_jobs(mut self, jobs: usize) -> Self {
-        self.explore_jobs = jobs.max(1);
-        self
-    }
-
-    /// The per-check exploration worker count (1 = serial).
-    pub fn explore_jobs(&self) -> usize {
-        self.explore_jobs
     }
 
     /// The base (unescalated) budget.
@@ -284,7 +267,6 @@ fn metrics_for(label: &str, run: &SupervisedRun, wall_ms: u64) -> CheckMetrics {
                 m.store_bytes = stats.seq.store_bytes as u64;
                 m.summaries = stats.seq.summaries as u64;
                 m.rounds = u64::from(stats.seq.rounds);
-                m.speculative_steps = stats.seq.speculative_steps;
                 m.product_states = stats.seq.product_states as u64;
                 m.buchi_states = stats.seq.buchi_states as u64;
             }

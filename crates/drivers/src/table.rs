@@ -320,13 +320,11 @@ fn check_field(
             return FieldOutcome::Failed { cause: format!("race spec `{spec}` did not resolve") };
         }
     };
-    let explore_jobs = supervisor.explore_jobs();
     let run = supervisor.run_scoped(&label, |budget, cancel, obs| {
         Kiss::new()
             .with_budget(budget)
             .with_cancel(cancel)
             .with_observer(obs.clone())
-            .with_explore_jobs(explore_jobs)
             .check_race(&harnessed, target)
     });
     field_outcome(run.result)

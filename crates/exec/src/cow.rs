@@ -219,18 +219,6 @@ impl<T: Clone> Default for CowVec<T> {
     }
 }
 
-// Parallel exploration hands configurations (hence chunk handles)
-// across worker threads: the seal flag and digest words are atomics,
-// so a `CowVec` of sendable elements must stay `Send + Sync`. These
-// assertions turn an accidental regression (e.g. a `Cell` slipping
-// into `Chunk`) into a compile error here instead of a distant trait
-// bound failure in the search engine.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Chunk<u64>>();
-    assert_send_sync::<CowVec<u64>>();
-};
-
 impl<T: Clone> From<Vec<T>> for CowVec<T> {
     fn from(items: Vec<T>) -> Self {
         items.into_iter().collect()

@@ -7,8 +7,8 @@
 //! the *current* position of the word), and a counter construction
 //! degeneralizes the per-`Until` acceptance sets into plain Büchi
 //! acceptance. Everything iterates over `BTreeSet`s and sorted ids, so
-//! state numbering is deterministic — a requirement inherited by the
-//! product engine's byte-identical `--explore-jobs` guarantee.
+//! state numbering is deterministic — the product engine's
+//! counterexample selection, and so its output, relies on it.
 
 use std::collections::{BTreeSet, HashMap};
 

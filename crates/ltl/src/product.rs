@@ -21,11 +21,8 @@
 //!
 //! A violation is an accepting lasso: a nontrivial SCC of the product
 //! graph containing an accepting state. Selection is deterministic
-//! (smallest accepting [`StateId`], then shortest cycle by BFS), and
-//! the layer-synchronous parallel mode (`--explore-jobs`) speculates
-//! per-node successor computation — a pure function of the node — and
-//! commits serially in rank order, so verdict, trace, and state counts
-//! are byte-identical at any worker count.
+//! (smallest accepting [`StateId`], then shortest cycle by BFS), so the
+//! verdict, trace and state counts are the same on every run.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -107,7 +104,6 @@ pub struct ProductChecker<'a> {
     budget: Budget,
     cancel: CancelToken,
     obs: Obs,
-    jobs: usize,
     trace: TraceId,
     trace_parent: u64,
 }
@@ -123,7 +119,6 @@ impl<'a> ProductChecker<'a> {
             budget: Budget::default(),
             cancel: CancelToken::default(),
             obs: Obs::off(),
-            jobs: 1,
             trace: TraceId::NONE,
             trace_parent: 0,
         }
@@ -148,10 +143,12 @@ impl<'a> ProductChecker<'a> {
         self
     }
 
-    /// Explores with `jobs` worker threads; results are byte-identical
-    /// to a serial run at any worker count.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
+    /// Ignores `jobs`: exploration is always the one serial loop.
+    /// Kept only because the `perfbench` package still calls it; the
+    /// next benchmark-defining change removes it together with
+    /// perfbench's parallel leg.
+    #[doc(hidden)]
+    pub fn with_jobs(self, _jobs: usize) -> Self {
         self
     }
 
@@ -214,8 +211,8 @@ impl<'a> ProductChecker<'a> {
         }
     }
 
-    /// Expands one product node — a pure function of the node, which is
-    /// what makes parallel speculation byte-identical by construction.
+    /// Expands one product node: its program successors paired with
+    /// every Büchi successor whose label they satisfy.
     fn expand(&self, config: &Config, q: u32) -> Expanded {
         let succs = self.step_config(config)?;
         let mut out = Vec::new();
@@ -227,33 +224,6 @@ impl<'a> ProductChecker<'a> {
             }
         }
         Ok(out)
-    }
-
-    /// Speculatively expands a whole frontier layer across worker
-    /// threads. Only node-local computation happens here; all store
-    /// mutation is the serial commit walk's.
-    fn speculate(&self, frontier: &[(StateId, u32, Config)]) -> Vec<Option<Expanded>> {
-        let jobs = self.jobs.min(frontier.len()).max(1);
-        let chunk = frontier.len().div_ceil(jobs);
-        let mut results: Vec<Option<Expanded>> = Vec::new();
-        results.resize_with(frontier.len(), || None);
-        std::thread::scope(|scope| {
-            let mut rest: &mut [Option<Expanded>] = &mut results;
-            let mut start = 0usize;
-            while !rest.is_empty() {
-                let take = chunk.min(rest.len());
-                let (mine, tail) = rest.split_at_mut(take);
-                rest = tail;
-                let nodes = &frontier[start..start + take];
-                start += take;
-                scope.spawn(move || {
-                    for (slot, (_, q, config)) in mine.iter_mut().zip(nodes) {
-                        *slot = Some(self.expand(config, *q));
-                    }
-                });
-            }
-        });
-        results
     }
 
     /// Runs the product exploration to a verdict plus engine stats.
@@ -270,7 +240,6 @@ impl<'a> ProductChecker<'a> {
         let mut adj: Vec<Vec<(u32, SegId)>> = Vec::new();
         let mut accepting: Vec<bool> = Vec::new();
         let mut frontier: Vec<(StateId, u32, Config)> = Vec::new();
-        let mut speculated: u64 = 0;
 
         let root = Config::initial(self.module);
         let root_fp = root.fingerprint();
@@ -301,7 +270,7 @@ impl<'a> ProductChecker<'a> {
                         + parents.len() * std::mem::size_of::<(StateId, SegId)>()
                         + adj.iter().map(|v| v.len()).sum::<usize>()
                             * std::mem::size_of::<(u32, SegId)>(),
-                    speculative_steps: speculated.max(meter.usage.steps),
+                    speculative_steps: meter.usage.steps,
                     product_states: visited.len(),
                     buchi_states: self.buchi.states.len(),
                     ..EngineStats::default()
@@ -324,24 +293,12 @@ impl<'a> ProductChecker<'a> {
 
         while !frontier.is_empty() {
             frontier_peak = frontier_peak.max(frontier.len());
-            let spec = if self.jobs > 1 && frontier.len() > 1 {
-                speculated += frontier.len() as u64;
-                self.speculate(&frontier)
-            } else {
-                let mut v: Vec<Option<Expanded>> = Vec::new();
-                v.resize_with(frontier.len(), || None);
-                v
-            };
             let mut next: Vec<(StateId, u32, Config)> = Vec::new();
-            for ((id, q, config), pre) in frontier.iter().zip(spec) {
+            for (id, q, config) in &frontier {
                 if let Err(reason) = meter.advance(1) {
                     bound!(reason);
                 }
-                if self.jobs <= 1 {
-                    speculated += 1;
-                }
-                let expanded = pre.unwrap_or_else(|| self.expand(config, *q));
-                match expanded {
+                match self.expand(config, *q) {
                     Err((e, step)) => {
                         let mut steps = trace_to(&interner, *id, |id| parents[id.0 as usize]);
                         steps.push(step);
@@ -372,8 +329,11 @@ impl<'a> ProductChecker<'a> {
                         }
                     }
                 }
+                meter.note_states(visited.len());
+                if let Some(reason) = meter.over_budget() {
+                    bound!(reason);
+                }
             }
-            meter.note_states(visited.len());
             if let Err(reason) = meter.poll() {
                 bound!(reason);
             }
@@ -530,12 +490,12 @@ mod tests {
         Module::lower(kiss_lang::parse_and_lower(src).expect("sample parses"))
     }
 
-    fn check(src: &str, formula: &str, jobs: usize) -> (LtlVerdict, EngineStats) {
+    fn check(src: &str, formula: &str) -> (LtlVerdict, EngineStats) {
         let m = module(src);
         let f = parse(formula).expect("formula parses");
         let b = Buchi::for_negation(&f);
         let atoms = resolve_atoms(&m.program, &b.atoms).expect("atoms resolve");
-        ProductChecker::new(&m, &b, atoms).with_jobs(jobs).check_with_stats()
+        ProductChecker::new(&m, &b, atoms).check_with_stats()
     }
 
     const TERMINATING: &str = "int x; void main() { x = 1; }";
@@ -543,7 +503,7 @@ mod tests {
 
     #[test]
     fn eventually_holds_on_a_terminating_run() {
-        let (v, stats) = check(TERMINATING, "F (x == 1)", 1);
+        let (v, stats) = check(TERMINATING, "F (x == 1)");
         assert_eq!(v, LtlVerdict::Holds);
         assert!(stats.product_states > 0 && stats.buchi_states > 0, "{stats:?}");
     }
@@ -552,7 +512,7 @@ mod tests {
     fn terminal_state_stutters_into_a_globally_violation() {
         // x becomes 1 and the final state repeats forever, so G (x == 0)
         // is violated by a lasso whose cycle is the empty stutter.
-        let (v, _) = check(TERMINATING, "G (x == 0)", 1);
+        let (v, _) = check(TERMINATING, "G (x == 0)");
         let LtlVerdict::Violated(lasso) = v else { panic!("expected violation, got {v:?}") };
         assert!(!lasso.stem.is_empty());
         assert!(lasso.cycle.is_empty(), "terminal stutter has no steps: {:?}", lasso.cycle);
@@ -562,46 +522,53 @@ mod tests {
     fn spin_loop_violates_eventually_with_a_real_cycle() {
         // The loop never exits (x stays 0), so F (x == 2) fails and the
         // counterexample cycle contains actual loop instructions.
-        let (v, _) = check(SPIN, "F (x == 2)", 1);
+        let (v, _) = check(SPIN, "F (x == 2)");
         let LtlVerdict::Violated(lasso) = v else { panic!("expected violation, got {v:?}") };
         assert!(!lasso.cycle.is_empty(), "spin loop must yield a non-stutter cycle");
     }
 
     #[test]
     fn spin_loop_satisfies_its_invariant() {
-        let (v, _) = check(SPIN, "G (x == 0)", 1);
+        let (v, _) = check(SPIN, "G (x == 0)");
         assert_eq!(v, LtlVerdict::Holds);
     }
 
     #[test]
     fn response_property_distinguishes_release_from_deadlock() {
         let releases = "int locked; void main() { locked = 1; locked = 0; }";
-        let (v, _) = check(releases, "G (locked -> F !locked)", 1);
+        let (v, _) = check(releases, "G (locked -> F !locked)");
         assert_eq!(v, LtlVerdict::Holds);
 
         let stuck = "int locked; void main() { locked = 1; while (locked == 1) { skip; } }";
-        let (v, _) = check(stuck, "G (locked -> F !locked)", 1);
+        let (v, _) = check(stuck, "G (locked -> F !locked)");
         assert!(matches!(v, LtlVerdict::Violated(_)), "{v:?}");
     }
 
     #[test]
-    fn parallel_exploration_matches_serial_exactly() {
-        for (src, formula) in [
-            (TERMINATING, "G (x == 0)"),
-            (SPIN, "F (x == 2)"),
-            (SPIN, "G (x == 0)"),
-            (TERMINATING, "F (x == 1)"),
+    fn state_and_memory_budgets_bound_the_product() {
+        // A loop through 40 values of g; every value is a product state.
+        let src = "int g; void main() { iter { g = g + 1; assume g <= 40; } }";
+        let (v, full) = check(src, "G (g <= 40)");
+        assert_eq!(v, LtlVerdict::Holds);
+        let m = module(src);
+        let f = parse("G (g <= 40)").expect("formula");
+        let b = Buchi::for_negation(&f);
+        let atoms = resolve_atoms(&m.program, &b.atoms).expect("atoms");
+        let cap = full.product_states / 2;
+        for (budget, axis) in [
+            (Budget::steps_states(1_000_000, cap), BoundReason::States),
+            (Budget::generous().with_mem_limit(cap * 96), BoundReason::Memory),
         ] {
-            let (v1, mut s1) = check(src, formula, 1);
-            let (v4, mut s4) = check(src, formula, 4);
-            assert_eq!(v1, v4, "{src} {formula}");
-            // A completed exploration speculates exactly what it
-            // commits; equality covers the speculative axis too.
-            assert_eq!(s1.speculative_steps, s1.steps, "{src} {formula}");
-            assert_eq!(s4.speculative_steps, s4.steps, "{src} {formula}");
-            s1.speculative_steps = 0;
-            s4.speculative_steps = 0;
-            assert_eq!(s1, s4, "{src} {formula}");
+            let (v, stats) = ProductChecker::new(&m, &b, atoms.clone())
+                .with_budget(budget)
+                .check_with_stats();
+            let LtlVerdict::ResourceBound { reason, states, .. } = v else {
+                panic!("{axis:?}: {v:?}")
+            };
+            assert_eq!(reason, axis);
+            // The trip comes right after the node that crossed the cap.
+            assert!(states > cap && states < full.product_states, "{states} of {full:?}");
+            assert_eq!(stats.states, states);
         }
     }
 

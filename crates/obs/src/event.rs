@@ -41,10 +41,6 @@ pub struct CheckMetrics {
     pub bound_reason: Option<String>,
     /// Retries the escalation ladder spent (attempts - 1).
     pub retries: u64,
-    /// Instructions actually executed by the final attempt, including
-    /// speculation a parallel exploration ran past the serial stopping
-    /// point. Equals `steps` for serial runs.
-    pub speculative_steps: u64,
     /// Distinct `(configuration, Büchi state)` product states explored
     /// (LTL liveness checks only).
     pub product_states: u64,
@@ -61,7 +57,7 @@ impl CheckMetrics {
             "\"check\":{},\"engine\":{},\"verdict\":{},\"steps\":{},\"states\":{},\
              \"frontier_peak\":{},\"states_stored\":{},\"store_bytes\":{},\
              \"summaries\":{},\"rounds\":{},\"wall_ms\":{},\
-             \"bound_reason\":{},\"retries\":{},\"speculative_steps\":{},\
+             \"bound_reason\":{},\"retries\":{},\
              \"product_states\":{},\"buchi_states\":{}",
             quoted(&self.check),
             quoted(&self.engine),
@@ -79,7 +75,6 @@ impl CheckMetrics {
                 None => "null".to_string(),
             },
             self.retries,
-            self.speculative_steps,
             self.product_states,
             self.buchi_states,
         ));
@@ -531,7 +526,6 @@ mod tests {
             wall_ms: 12,
             bound_reason: Some("deadline".into()),
             retries: 1,
-            speculative_steps: 9,
             product_states: 21,
             buchi_states: 4,
         };
@@ -542,7 +536,7 @@ mod tests {
         assert_eq!(parsed.get("store_bytes").and_then(Json::as_u64), Some(144));
         assert_eq!(parsed.get("bound_reason").and_then(Json::as_str), Some("deadline"));
         assert_eq!(parsed.get("retries").and_then(Json::as_u64), Some(1));
-        assert_eq!(parsed.get("speculative_steps").and_then(Json::as_u64), Some(9));
+        assert_eq!(parsed.get("speculative_steps"), None);
         assert_eq!(parsed.get("product_states").and_then(Json::as_u64), Some(21));
         assert_eq!(parsed.get("buchi_states").and_then(Json::as_u64), Some(4));
     }

@@ -30,9 +30,6 @@ pub struct EngineTotals {
     /// Bytes held by the engines' state stores (final attempts,
     /// summed).
     pub store_bytes: u64,
-    /// Instructions actually executed including parallel speculation
-    /// (final attempts, summed; equals `steps` for serial runs).
-    pub speculative_steps: u64,
     /// Wall-clock milliseconds spent.
     pub wall_ms: u64,
 }
@@ -91,7 +88,6 @@ impl RunReport {
         engine.steps += m.steps;
         engine.states += m.states;
         engine.store_bytes += m.store_bytes;
-        engine.speculative_steps += m.speculative_steps;
         engine.wall_ms += m.wall_ms;
         self.wall_ms += m.wall_ms;
         self.durations_ms.push(m.wall_ms);
@@ -114,7 +110,6 @@ impl RunReport {
             e.steps += v.steps;
             e.states += v.states;
             e.store_bytes += v.store_bytes;
-            e.speculative_steps += v.speculative_steps;
             e.wall_ms += v.wall_ms;
         }
         self.wall_ms += other.wall_ms;
@@ -191,13 +186,12 @@ impl RunReport {
             .map(|(k, e)| {
                 format!(
                     "{}:{{\"checks\":{},\"steps\":{},\"states\":{},\
-                     \"store_bytes\":{},\"speculative_steps\":{},\"wall_ms\":{}}}",
+                     \"store_bytes\":{},\"wall_ms\":{}}}",
                     quoted(k),
                     e.checks,
                     e.steps,
                     e.states,
                     e.store_bytes,
-                    e.speculative_steps,
                     e.wall_ms,
                 )
             })
@@ -253,7 +247,6 @@ impl RunReport {
                         steps: e.get("steps")?.as_u64()?,
                         states: e.get("states")?.as_u64()?,
                         store_bytes: e.get("store_bytes")?.as_u64()?,
-                        speculative_steps: e.get("speculative_steps")?.as_u64()?,
                         wall_ms: e.get("wall_ms")?.as_u64()?,
                     },
                 ))
@@ -301,13 +294,6 @@ impl RunReport {
                  {} store bytes, {} ms\n",
                 e.checks, e.steps, e.states, e.store_bytes, e.wall_ms
             ));
-            if e.speculative_steps > e.steps {
-                out.push_str(&format!(
-                    "              {name}: {} speculative steps ({} wasted)\n",
-                    e.speculative_steps,
-                    e.speculative_steps - e.steps
-                ));
-            }
         }
         if let Some(sps) = self.states_per_sec() {
             out.push_str(&format!("  throughput: {sps:.0} states/s\n"));
@@ -450,26 +436,17 @@ mod tests {
     }
 
     #[test]
-    fn speculative_steps_accumulate_and_are_required() {
+    fn reports_carrying_speculative_steps_still_parse() {
+        // Reports written while exploration could run in parallel carry
+        // a per-engine `speculative_steps` gauge; resumed journals must
+        // still read them.
         let mut r = RunReport::default();
-        let mut m = metric("pass", "bfs", 100, 4);
-        m.speculative_steps = 130;
-        r.observe(&m);
-        r.observe(&m);
-        assert_eq!(r.engines["bfs"].speculative_steps, 260);
-        assert!(r.render().contains("260 speculative steps (60 wasted)"), "{}", r.render());
-        let back = RunReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back.engines["bfs"].speculative_steps, 260);
-        // A serial run renders without the speculation line.
-        let mut serial = RunReport::default();
-        serial.observe(&metric("pass", "bfs", 7, 2));
-        assert!(!serial.render().contains("speculative"));
-        // A report without the gauge does not parse.
-        let old = "{\"checks\":1,\"retries\":0,\"outcomes\":{\"pass\":1},\
-                   \"bound_reasons\":{},\"engines\":{\"bfs\":{\"checks\":1,\
-                   \"steps\":7,\"states\":3,\"store_bytes\":0,\"wall_ms\":2}},\
-                   \"wall_ms\":2,\"durations_ms\":[2]}";
-        assert_eq!(RunReport::from_json(old), None);
+        r.observe(&metric("pass", "bfs", 100, 4));
+        let json = r.to_json();
+        assert!(!json.contains("speculative"), "{json}");
+        let old = json.replace("\"store_bytes\":0,", "\"store_bytes\":0,\"speculative_steps\":130,");
+        assert!(old.contains("\"speculative_steps\":130"), "{old}");
+        assert_eq!(RunReport::from_json(&old), Some(r));
     }
 
     #[test]

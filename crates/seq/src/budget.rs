@@ -98,8 +98,7 @@ pub enum BoundReason {
     /// Cancellation was requested (signal, supervisor shutdown).
     Cancelled,
     /// The state store ran out of dense-id space (a [`crate::store`]
-    /// table, or one shard of the sharded table, exhausted its id
-    /// range). Distinct from [`BoundReason::States`]: that axis is a
+    /// table exhausted its id range). Distinct from [`BoundReason::States`]: that axis is a
     /// configured budget, this one is a structural capacity limit.
     StateCap,
 }
@@ -282,36 +281,13 @@ impl Meter {
         self.poll()
     }
 
-    /// A derived meter for one *speculative* work unit of a parallel
-    /// search: it shares this meter's clock origin and cancellation
-    /// token (so deadlines and ^C interrupt workers just like the
-    /// serial loop), bounds only `max_steps` instructions, and emits no
-    /// events — the committing thread owns the observable accounting.
-    pub fn speculative(&self, max_steps: u64) -> Meter {
-        Meter {
-            budget: Budget {
-                max_steps,
-                max_states: usize::MAX,
-                max_wall: self.budget.max_wall,
-                max_mem_bytes: None,
-            },
-            cancel: self.cancel.clone(),
-            started: self.started,
-            bytes_per_state: self.bytes_per_state,
-            obs: Obs::off(),
-            engine: self.engine,
-            usage: Usage::default(),
-        }
-    }
-
-    /// Counts `n` already-executed instructions at once — the commit
-    /// path of a parallel search replays a speculatively-run segment's
-    /// step total in bulk. Reports exactly what `n` serial
-    /// [`Meter::tick`]s would have: on a step-budget trip the usage is
-    /// pinned to `max_steps + 1` (a serial run stops at the first
-    /// over-budget instruction, never overshooting), and the clock /
-    /// cancellation flag are polled when the advance crosses a
-    /// 1024-step window.
+    /// Counts `n` instructions at once — for engines whose unit of work
+    /// is not one instruction (the LTL product charges one step per
+    /// node expansion). Reports exactly what `n` [`Meter::tick`]s would
+    /// have: on a step-budget trip the usage is pinned to
+    /// `max_steps + 1` (a ticking run stops at the first over-budget
+    /// instruction, never overshooting), and the clock / cancellation
+    /// flag are polled when the advance crosses a 1024-step window.
     pub fn advance(&mut self, n: u64) -> Result<(), BoundReason> {
         let before = self.usage.steps;
         if n > self.budget.max_steps.saturating_sub(before) {
@@ -455,9 +431,9 @@ mod tests {
         assert!(bulk.advance(40).is_ok());
         assert!(bulk.advance(60).is_ok());
         assert_eq!(bulk.usage.steps, 100);
-        // One step over: a serial run reports max_steps + 1 (the trip
+        // One step over: a ticking run reports max_steps + 1 (the trip
         // happens at the first over-budget instruction), regardless of
-        // how far the speculative segment overshot.
+        // how far a bulk advance overshot.
         assert_eq!(bulk.advance(1), Err(BoundReason::Steps));
         assert_eq!(bulk.usage.steps, 101);
         let mut overshoot = Meter::new(Budget::steps_states(100, 100), CancelToken::new());
@@ -474,26 +450,6 @@ mod tests {
         assert!(m.advance(10).is_ok());
         // …but crossing a window boundary observes the cancellation.
         assert_eq!(m.advance(2048), Err(BoundReason::Cancelled));
-    }
-
-    #[test]
-    fn speculative_meter_bounds_steps_and_shares_cancel() {
-        let cancel = CancelToken::new();
-        let base = Meter::new(
-            Budget::steps_states(1_000, 10).with_mem_limit(1),
-            cancel.clone(),
-        );
-        let mut spec = base.speculative(2);
-        // Only the step axis applies: states/memory are the committing
-        // thread's business.
-        spec.note_states(1_000_000);
-        assert!(spec.tick().is_ok());
-        assert!(spec.tick().is_ok());
-        assert_eq!(spec.tick(), Err(BoundReason::Steps));
-        // The shared token interrupts the worker.
-        let mut spec = base.speculative(u64::MAX);
-        cancel.cancel();
-        assert_eq!(spec.tick(), Err(BoundReason::Cancelled));
     }
 
     #[test]

@@ -52,13 +52,6 @@ pub struct Config {
     pub stack: Vec<Frame>,
 }
 
-// Parallel BFS workers own configurations and share the frontier
-// across threads; keep the whole state thread-mobile by construction.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Config>();
-};
-
 impl Config {
     /// The initial configuration: initialized globals, empty heap, one
     /// frame entering `main`.

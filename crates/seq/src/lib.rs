@@ -38,8 +38,6 @@ pub use budget::{BoundReason, Budget, Meter, Usage};
 pub use cancel::CancelToken;
 pub use explicit::ExplicitChecker;
 pub use stats::EngineStats;
-pub use store::{
-    SegmentInterner, ShardedVisitedTable, StateCapExceeded, StateId, VisitedTable, SHARD_COUNT,
-};
+pub use store::{SegmentInterner, StateCapExceeded, StateId, VisitedTable};
 pub use summary::SummaryChecker;
 pub use verdict::{ErrorTrace, TraceStep, Verdict};

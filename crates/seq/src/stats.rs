@@ -31,10 +31,11 @@ pub struct EngineStats {
     pub states_stored: usize,
     /// Exact bytes held by the state store. All engines.
     pub store_bytes: usize,
-    /// Instructions actually executed, including speculative work a
-    /// parallel exploration ran past the point where the serial search
-    /// would have stopped (merged across workers). Equals `steps` for
-    /// serial runs; the difference is the parallelism overhead.
+    /// Equal to `steps` for the BFS and LTL product engines, zero
+    /// otherwise. Kept only because the `perfbench` package still reads
+    /// it; the next benchmark-defining change removes it together with
+    /// perfbench's parallel leg. Read `steps` instead.
+    #[doc(hidden)]
     pub speculative_steps: u64,
     /// Distinct `(configuration, Büchi state)` product states explored.
     /// LTL product engine only.
@@ -54,9 +55,6 @@ impl EngineStats {
         );
         if self.summaries > 0 || self.rounds > 0 {
             line.push_str(&format!(" summaries={} rounds={}", self.summaries, self.rounds));
-        }
-        if self.speculative_steps > self.steps {
-            line.push_str(&format!(" speculative-steps={}", self.speculative_steps));
         }
         if self.product_states > 0 {
             line.push_str(&format!(
@@ -95,13 +93,5 @@ mod tests {
             ..EngineStats::default()
         };
         assert!(ltl.render().contains("product-states=7 buchi-states=3"), "{}", ltl.render());
-    }
-
-    #[test]
-    fn render_shows_speculation_only_when_it_exceeds_committed_steps() {
-        let serial = EngineStats { steps: 10, speculative_steps: 10, ..EngineStats::default() };
-        assert!(!serial.render().contains("speculative"), "{}", serial.render());
-        let parallel = EngineStats { steps: 10, speculative_steps: 14, ..EngineStats::default() };
-        assert!(parallel.render().contains("speculative-steps=14"), "{}", parallel.render());
     }
 }

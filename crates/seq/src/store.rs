@@ -14,20 +14,17 @@
 //!   fingerprint (it is already avalanche-mixed, so the low bits are
 //!   the slot index) which hands out dense [`StateId`]s in insertion
 //!   order, giving the engines array-indexed parent maps for free;
-//! * [`ShardedVisitedTable`] — the same table striped for parallel BFS;
 //! * [`SegmentInterner`] — a flat [`TraceStep`] arena with hash-dedup,
 //!   so a repeated segment costs one slice compare instead of a clone;
 //! * [`trace_to`] — the one walk from a state back to its root.
 
-use std::sync::Mutex;
-
 use crate::verdict::TraceStep;
 
-/// A state store ran out of dense-id space: the table (or one shard of
-/// the sharded table) cannot mint another [`StateId`] without wrapping.
-/// Engines surface this as an inconclusive verdict with
-/// [`crate::budget::BoundReason::StateCap`] — a silent u32 wrap would
-/// alias two distinct states and unsoundly prune the search.
+/// A state store ran out of dense-id space: the table cannot mint
+/// another [`StateId`] without wrapping. Engines surface this as an
+/// inconclusive verdict with [`crate::budget::BoundReason::StateCap`]
+/// — a silent u32 wrap would alias two distinct states and unsoundly
+/// prune the search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateCapExceeded;
 
@@ -57,9 +54,8 @@ pub struct VisitedTable {
     /// Fingerprints in insertion order; `StateId(i)` names `fps[i]`.
     fps: Vec<(u64, u64)>,
     /// Most fingerprints the table may hold before `insert` reports
-    /// [`StateCapExceeded`]. Defaults to the id space itself; tests and
-    /// sharded tables (whose locals share the 32-bit id with a shard
-    /// tag) inject smaller caps.
+    /// [`StateCapExceeded`]. Defaults to the id space itself; tests
+    /// inject smaller caps.
     cap: u32,
 }
 
@@ -171,219 +167,6 @@ impl VisitedTable {
 impl Default for VisitedTable {
     fn default() -> Self {
         VisitedTable::new()
-    }
-}
-
-/// Shard-index width of the sharded table: 16 shards, selected by the
-/// fingerprint's high bits (the probe sequence inside a shard uses the
-/// low bits, so the two never correlate).
-pub const SHARD_BITS: u32 = 4;
-/// Number of shards in a [`ShardedVisitedTable`].
-pub const SHARD_COUNT: usize = 1 << SHARD_BITS;
-/// Bits of a [`StateId`] left for the within-shard local index.
-const LOCAL_BITS: u32 = 32 - SHARD_BITS;
-/// The largest within-shard local index.
-const LOCAL_MASK: u32 = (1 << LOCAL_BITS) - 1;
-
-impl StateId {
-    /// Packs a (shard, local) pair into the id's bit layout.
-    fn from_shard_local(shard: usize, local: u32) -> StateId {
-        StateId((shard as u32) << LOCAL_BITS | local)
-    }
-
-    /// The shard index of a sharded id.
-    fn shard(self) -> usize {
-        (self.0 >> LOCAL_BITS) as usize
-    }
-
-    /// The within-shard local index of a sharded id.
-    fn local(self) -> u32 {
-        self.0 & LOCAL_MASK
-    }
-}
-
-/// One stripe of a [`ShardedVisitedTable`]: an ordinary open-addressed
-/// [`VisitedTable`] handing out *local* ids, plus the per-layer claim
-/// and parked-payload books the deterministic commit walk reads.
-struct Shard<C> {
-    table: VisitedTable,
-    /// Parent edge per local id; a fresh entry is its own parent until
-    /// the commit walk sets the real edge.
-    parents: Vec<(StateId, SegId)>,
-    /// Locals below this are prior-layer states — revisits, never
-    /// claimable in the current layer.
-    sealed: u32,
-    /// Minimal `(rank, tidx)` claim per current-layer local, indexed by
-    /// `local - sealed`.
-    claims: Vec<(u32, u32)>,
-    /// Parked payload (the discoverer's cloned configuration) per
-    /// current-layer local, indexed by `local - sealed`.
-    parked: Vec<Option<C>>,
-}
-
-/// A [`VisitedTable`] striped into [`SHARD_COUNT`] independently locked
-/// partitions, for concurrent insertion from BFS workers.
-///
-/// The fingerprint's high bits pick the shard, so membership and the
-/// set of stored states are identical to a single-shard table no matter
-/// how many threads insert, or in what order. Dense [`StateId`]s are
-/// allocated *per shard* and tagged with the shard index in their high
-/// bits — ids differ from the serial table's, but ids never surface in
-/// any observable (verdicts, traces, counts); only membership and
-/// parent edges do.
-///
-/// Determinism across thread interleavings is the point of the claim
-/// machinery: every insert carries the inserting node's `(rank, tidx)`
-/// — its position in the layer's canonical order — and claims on the
-/// same new state min-merge, so the commit walk can ask "which insert
-/// would a serial run have seen first?" and get the same answer on
-/// every run. `seal` ends a layer: its entries become prior-layer
-/// states and the claim books reset.
-pub struct ShardedVisitedTable<C> {
-    shards: Box<[Mutex<Shard<C>>]>,
-}
-
-impl<C> ShardedVisitedTable<C> {
-    /// An empty table.
-    pub fn new() -> ShardedVisitedTable<C> {
-        ShardedVisitedTable::with_shard_capacity(LOCAL_MASK)
-    }
-
-    /// An empty table whose shards hold at most `cap` entries each —
-    /// the cap path is testable without exhausting a 28-bit id space.
-    pub fn with_shard_capacity(cap: u32) -> ShardedVisitedTable<C> {
-        let shards = (0..SHARD_COUNT)
-            .map(|_| {
-                Mutex::new(Shard {
-                    table: VisitedTable::new().with_capacity_limit(cap.min(LOCAL_MASK)),
-                    parents: Vec::new(),
-                    sealed: 0,
-                    claims: Vec::new(),
-                    parked: Vec::new(),
-                })
-            })
-            .collect();
-        ShardedVisitedTable { shards }
-    }
-
-    fn shard_of(fp: (u64, u64)) -> usize {
-        (fp.0 >> (64 - SHARD_BITS)) as usize
-    }
-
-    fn lock(&self, shard: usize) -> std::sync::MutexGuard<'_, Shard<C>> {
-        self.shards[shard].lock().expect("shard lock")
-    }
-
-    /// Inserts `fp` on behalf of the layer node at `rank`, target
-    /// `tidx`. Returns the state's id and whether this call created the
-    /// entry (the creator is responsible for [`Self::park`]ing a
-    /// payload). Claims on a current-layer entry min-merge, so the
-    /// minimal claim — the one a serial run would have seen first — is
-    /// what [`Self::claim_of`] later reports regardless of insertion
-    /// order.
-    pub fn insert_claimed(
-        &self,
-        fp: (u64, u64),
-        rank: u32,
-        tidx: u32,
-    ) -> Result<(StateId, bool), StateCapExceeded> {
-        let shard_idx = Self::shard_of(fp);
-        let mut shard = self.lock(shard_idx);
-        let (local_id, new) = shard.table.insert(fp)?;
-        let id = StateId::from_shard_local(shard_idx, local_id.0);
-        if new {
-            debug_assert_eq!(local_id.0 as usize, shard.parents.len());
-            shard.parents.push((id, SegId::EMPTY));
-            shard.claims.push((rank, tidx));
-            shard.parked.push(None);
-        } else if local_id.0 >= shard.sealed {
-            let at = (local_id.0 - shard.sealed) as usize;
-            shard.claims[at] = shard.claims[at].min((rank, tidx));
-        }
-        Ok((id, new))
-    }
-
-    /// Parks the payload for an entry this caller created. Any
-    /// claimant's payload is state-equivalent (equal fingerprints mean
-    /// equal states), so the creator's clone serves whichever claim
-    /// wins.
-    pub fn park(&self, id: StateId, payload: C) {
-        let mut shard = self.lock(id.shard());
-        let at = (id.local() - shard.sealed) as usize;
-        shard.parked[at] = Some(payload);
-    }
-
-    /// The minimal claim recorded for `id` in the current layer, or
-    /// `None` when the entry predates it (a revisit).
-    pub fn claim_of(&self, id: StateId) -> Option<(u32, u32)> {
-        let shard = self.lock(id.shard());
-        let local = id.local();
-        (local >= shard.sealed).then(|| shard.claims[(local - shard.sealed) as usize])
-    }
-
-    /// Takes the parked payload of a winning entry.
-    pub fn take_parked(&self, id: StateId) -> Option<C> {
-        let mut shard = self.lock(id.shard());
-        let at = (id.local() - shard.sealed) as usize;
-        shard.parked[at].take()
-    }
-
-    /// Sets the parent edge the trace reconstruction walks.
-    pub fn set_parent(&self, id: StateId, parent: StateId, seg: SegId) {
-        let mut shard = self.lock(id.shard());
-        let local = id.local() as usize;
-        shard.parents[local] = (parent, seg);
-    }
-
-    /// The parent edge of `id` (an uncommitted entry is its own
-    /// parent).
-    pub fn parent(&self, id: StateId) -> (StateId, SegId) {
-        self.lock(id.shard()).parents[id.local() as usize]
-    }
-
-    /// Ends the current layer: its entries become prior-layer states,
-    /// claims reset, and parked payloads that no winner consumed are
-    /// dropped.
-    pub fn seal(&self) {
-        for shard in self.shards.iter() {
-            let mut shard = shard.lock().expect("shard lock");
-            shard.sealed = shard.table.len() as u32;
-            shard.claims.clear();
-            shard.parked.clear();
-        }
-    }
-
-    /// Total distinct fingerprints across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("shard lock").table.len()).sum()
-    }
-
-    /// Whether no fingerprint has been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether `fp` has been inserted (any layer).
-    pub fn contains(&self, fp: (u64, u64)) -> bool {
-        self.lock(Self::shard_of(fp)).table.contains(fp)
-    }
-
-    /// Exact bytes held by all shards' tables and parent arenas.
-    pub fn bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                let s = s.lock().expect("shard lock");
-                s.table.bytes()
-                    + s.parents.capacity() * std::mem::size_of::<(StateId, SegId)>()
-            })
-            .sum()
-    }
-}
-
-impl<C> Default for ShardedVisitedTable<C> {
-    fn default() -> Self {
-        ShardedVisitedTable::new()
     }
 }
 
@@ -648,124 +431,5 @@ mod tests {
         assert_eq!(t.insert((9, 109)), Err(StateCapExceeded));
         assert_eq!(t.len(), 3);
         assert!(!t.contains((9, 109)));
-    }
-
-    #[test]
-    fn sharded_table_matches_single_shard_membership_and_ids() {
-        let sharded: ShardedVisitedTable<()> = ShardedVisitedTable::new();
-        let mut single = VisitedTable::new();
-        // Fingerprints spread across shards (high bits vary).
-        let fps: Vec<(u64, u64)> =
-            (0..2000u64).map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i)).collect();
-        let mut ids = std::collections::HashMap::new();
-        for (i, &fp) in fps.iter().enumerate() {
-            let (sid, snew) = sharded.insert_claimed(fp, i as u32, 0).unwrap();
-            let (_, lnew) = single.insert(fp).unwrap();
-            assert_eq!(snew, lnew, "newness diverges on {fp:?}");
-            ids.insert(fp, sid);
-        }
-        assert_eq!(sharded.len(), single.len());
-        for &fp in &fps {
-            assert!(sharded.contains(fp));
-            // Id stability: a re-insert returns the original id.
-            let (sid, snew) = sharded.insert_claimed(fp, u32::MAX, u32::MAX).unwrap();
-            assert!(!snew);
-            assert_eq!(sid, ids[&fp]);
-        }
-        assert!(!sharded.contains((u64::MAX, u64::MAX)));
-    }
-
-    #[test]
-    fn sharded_claims_min_merge_and_reset_on_seal() {
-        let t: ShardedVisitedTable<u32> = ShardedVisitedTable::new();
-        let fp = (42, 43);
-        let (id, first) = t.insert_claimed(fp, 7, 1).unwrap();
-        assert!(first);
-        t.park(id, 99);
-        // A later claim with a smaller rank wins; a larger one loses;
-        // tidx breaks rank ties.
-        assert!(!t.insert_claimed(fp, 9, 0).unwrap().1);
-        assert_eq!(t.claim_of(id), Some((7, 1)));
-        assert!(!t.insert_claimed(fp, 7, 0).unwrap().1);
-        assert_eq!(t.claim_of(id), Some((7, 0)));
-        assert!(!t.insert_claimed(fp, 3, 5).unwrap().1);
-        assert_eq!(t.claim_of(id), Some((3, 5)));
-        assert_eq!(t.take_parked(id), Some(99));
-        assert_eq!(t.take_parked(id), None);
-        // Sealing turns the entry into a prior-layer state: no claim,
-        // and a next-layer insert is a plain revisit.
-        t.seal();
-        assert_eq!(t.claim_of(id), None);
-        let (again, new) = t.insert_claimed(fp, 0, 0).unwrap();
-        assert!(!new);
-        assert_eq!(again, id);
-        assert_eq!(t.claim_of(id), None);
-    }
-
-    #[test]
-    fn sharded_parent_edges_default_to_self_until_committed() {
-        let t: ShardedVisitedTable<()> = ShardedVisitedTable::new();
-        let (root, _) = t.insert_claimed((1, 1), 0, 0).unwrap();
-        let (child, _) = t.insert_claimed((2, 2), 0, 1).unwrap();
-        assert_eq!(t.parent(child), (child, SegId::EMPTY));
-        t.set_parent(child, root, SegId::EMPTY);
-        assert_eq!(t.parent(child), (root, SegId::EMPTY));
-        assert_eq!(t.parent(root), (root, SegId::EMPTY));
-    }
-
-    #[test]
-    fn sharded_shard_cap_reports_state_cap() {
-        // Cap each shard at 2: the third fingerprint landing in one
-        // shard trips. Same high bits force one shard.
-        let t: ShardedVisitedTable<()> = ShardedVisitedTable::with_shard_capacity(2);
-        assert!(t.insert_claimed((1, 1), 0, 0).is_ok());
-        assert!(t.insert_claimed((2, 2), 0, 1).is_ok());
-        assert_eq!(t.insert_claimed((3, 3), 0, 2), Err(StateCapExceeded));
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn sharded_table_survives_concurrent_hammering() {
-        // 8 threads insert overlapping fingerprint ranges with
-        // different claim ranks; the table must end up with exactly the
-        // distinct set, every id stable, and every claim the minimum
-        // over the inserting threads.
-        let t: ShardedVisitedTable<usize> = ShardedVisitedTable::new();
-        let threads = 8usize;
-        let per_thread = 2_000u64;
-        std::thread::scope(|s| {
-            for w in 0..threads {
-                let t = &t;
-                s.spawn(move || {
-                    for i in 0..per_thread {
-                        // Every thread inserts every fp, claiming with
-                        // its own rank; half the fps collide across all
-                        // threads, half are thread-private.
-                        let shared = (i.wrapping_mul(0xDEAD_BEEF_CAFE_F00D), i);
-                        let (id, first) =
-                            t.insert_claimed(shared, w as u32, 0).unwrap();
-                        if first {
-                            t.park(id, w);
-                        }
-                        let private =
-                            ((w as u64) << 32 | i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                        // The second lane keeps private fps disjoint
-                        // from the shared ones (whose lane is < 2000).
-                        t.insert_claimed((private, 1 << 40 | w as u64), w as u32, 1).unwrap();
-                    }
-                });
-            }
-        });
-        assert_eq!(t.len(), per_thread as usize * (1 + threads));
-        for i in 0..per_thread {
-            let shared = (i.wrapping_mul(0xDEAD_BEEF_CAFE_F00D), i);
-            assert!(t.contains(shared));
-            let (id, new) = t.insert_claimed(shared, u32::MAX, 0).unwrap();
-            assert!(!new);
-            // All 8 threads claimed rank w — the minimum must have won.
-            assert_eq!(t.claim_of(id), Some((0, 0)), "claim on fp {i}");
-            // Exactly one thread parked a payload.
-            assert!(t.take_parked(id).is_some(), "no parked payload for fp {i}");
-        }
     }
 }

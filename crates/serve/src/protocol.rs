@@ -16,8 +16,9 @@
 //!
 //! `id`, `op`, and `source` (plus `target` for `op:"race"`) are
 //! required; everything else defaults. Clients that predate the single
-//! state store send a `"store"` field on every frame; it is ignored,
-//! whatever its value. A response frame:
+//! state store send a `"store"` field on every frame, and clients that
+//! predate serial-only exploration may send `"explore_jobs"`; both are
+//! ignored, whatever their value. A response frame:
 //!
 //! ```json
 //! {"id":"q0","verdict":"race","detail":"...","steps":123,"states":45,
@@ -106,12 +107,6 @@ pub struct Request {
     pub timeout_ms: Option<u64>,
     /// Skip the cache lookup (the verdict is still stored).
     pub no_cache: bool,
-    /// Worker threads exploring a single check (BFS and LTL only).
-    /// A throughput knob, never a semantics knob: results are
-    /// byte-identical to a serial run, so it is excluded from the
-    /// cache key — a warm answer from a serial run satisfies a
-    /// parallel request and vice versa.
-    pub explore_jobs: usize,
     /// Client-minted trace id threading this request's spans through
     /// the server's event stream. [`TraceId::NONE`] (the default) lets
     /// the server mint one. Like `id`, a transport concern — excluded
@@ -132,7 +127,6 @@ impl Request {
             max_states: None,
             timeout_ms: None,
             no_cache: false,
-            explore_jobs: 1,
             trace: TraceId::NONE,
         }
     }
@@ -168,9 +162,7 @@ impl Request {
     /// The content address: a 128-bit fingerprint over every field that
     /// determines the verdict — source text, operation and target,
     /// engine, `MAX`, and the budget overrides. The `id` and
-    /// `no_cache` fields are transport concerns and excluded, and so
-    /// is `explore_jobs` — parallel exploration is byte-identical to
-    /// serial, so the verdict does not depend on it.
+    /// `no_cache` fields are transport concerns and excluded.
     pub fn cache_key(&self) -> u128 {
         // The formula rides the target slot; the op name alone keeps an
         // `ltl` request distinct from a `race` on an equal spelling.
@@ -237,9 +229,6 @@ impl Request {
         }
         if self.no_cache {
             out.push_str(",\"no_cache\":true");
-        }
-        if self.explore_jobs > 1 {
-            out.push_str(&format!(",\"explore_jobs\":{}", self.explore_jobs));
         }
         if !self.trace.is_none() {
             out.push_str(&format!(",\"trace\":\"{}\"", self.trace.to_hex()));
@@ -545,10 +534,6 @@ fn request_from_value(v: &Json) -> Result<Request, FrameError> {
         max_states: num("max_states")?,
         timeout_ms: num("timeout_ms")?,
         no_cache: matches!(v.get("no_cache"), Some(Json::Bool(true))),
-        explore_jobs: match num("explore_jobs")? {
-            None | Some(0) => 1,
-            Some(n) => n as usize,
-        },
         // Tolerant: an unparsable trace degrades to "server mints one",
         // never to a rejected frame.
         trace: v
@@ -790,7 +775,6 @@ mod tests {
             max_states: Some(8_000),
             timeout_ms: Some(2_000),
             no_cache: true,
-            explore_jobs: 4,
             trace: TraceId(0x1234_5678_9abc_def0),
         };
         assert_eq!(decode_request(&req.to_json()), Ok(req));
@@ -898,7 +882,6 @@ mod tests {
         let mut same = ltl.clone();
         same.id = "other-id".to_string();
         same.no_cache = true;
-        same.explore_jobs = 8;
         assert_eq!(ltl.cache_key(), same.cache_key());
     }
 
@@ -935,19 +918,14 @@ mod tests {
     }
 
     #[test]
-    fn explore_jobs_defaults_and_round_trips() {
-        // Absent from the frame at the default, so old servers see
-        // byte-identical requests from updated clients.
-        let base = Request::check("a", "void main() { skip; }");
-        assert!(!base.to_json().contains("explore_jobs"));
-        assert_eq!(decode_request(&base.to_json()).unwrap().explore_jobs, 1);
-        // A zero on the wire degrades to serial, never to an error.
-        let line = r#"{"id":"a","op":"check","source":"x","explore_jobs":0}"#;
-        assert_eq!(decode_request(line).unwrap().explore_jobs, 1);
-        let mut req = base;
-        req.explore_jobs = 4;
-        assert!(req.to_json().contains("\"explore_jobs\":4"));
-        assert_eq!(decode_request(&req.to_json()), Ok(req));
+    fn an_explore_jobs_field_from_an_old_client_is_ignored() {
+        let plain = decode_request(r#"{"id":"a","op":"check","source":"x"}"#).unwrap();
+        for jobs in ["4", "0", "\"many\""] {
+            let line = format!(r#"{{"id":"a","op":"check","source":"x","explore_jobs":{jobs}}}"#);
+            assert_eq!(decode_request(&line), Ok(plain.clone()), "{line}");
+            assert_eq!(decode_frame(&line), Ok(Frame::Single(plain.clone())), "{line}");
+        }
+        assert!(!plain.to_json().contains("explore_jobs"), "{}", plain.to_json());
     }
 
     #[test]
@@ -1101,9 +1079,6 @@ mod tests {
         let mut same = base.clone();
         same.id = "completely-different".to_string();
         same.no_cache = true;
-        // Parallel exploration is byte-identical to serial, so the
-        // worker count must not fragment the cache.
-        same.explore_jobs = 8;
         assert_eq!(base.cache_key(), same.cache_key());
         let mut other = base.clone();
         other.engine = Engine::Bfs;

@@ -1314,7 +1314,6 @@ fn execute(
         let kiss = Kiss::new()
             .with_max_ts(request.max_ts)
             .with_engine(request.engine)
-            .with_explore_jobs(request.explore_jobs)
             .with_budget(budget)
             .with_cancel(cancel)
             .with_observer(obs.clone())

@@ -24,14 +24,14 @@ fn request_strategy() -> BoxedStrategy<Request> {
             prop::sample::select(vec![Engine::Explicit, Engine::Summary, Engine::Bfs]),
             0usize..4,
         ),
-        (opt_u64(), opt_u64(), opt_u64(), any::<bool>(), 1usize..9),
+        (opt_u64(), opt_u64(), opt_u64(), any::<bool>()),
         prop_oneof![Just(TraceId::NONE), (1u64..u64::MAX).prop_map(TraceId)],
     )
         .prop_map(
             |(
                 (id, source, target),
                 (engine, max_ts),
-                (max_steps, max_states, timeout_ms, no_cache, explore_jobs),
+                (max_steps, max_states, timeout_ms, no_cache),
                 trace,
             )| {
                 Request {
@@ -47,7 +47,6 @@ fn request_strategy() -> BoxedStrategy<Request> {
                     max_states,
                     timeout_ms,
                     no_cache,
-                    explore_jobs,
                     trace,
                 }
             },

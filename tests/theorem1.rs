@@ -6,14 +6,15 @@
 //!
 //! We generate random small concurrent programs (no loops, bounded
 //! forks, so `MAX = 2` behaves as an unbounded `ts`), and check both
-//! directions against the ground-truth interleaving explorer of
-//! `kiss-conc` restricted to balanced (stack-disciplined) schedules.
+//! directions, under every sequential engine, against the ground-truth
+//! interleaving explorer of `kiss-conc` restricted to balanced
+//! (stack-disciplined) schedules.
 
 use proptest::prelude::*;
 
 use kiss::conc::{Explorer, ScheduleMode};
 use kiss::exec::Module;
-use kiss::Kiss;
+use kiss::{Engine, Kiss, KissOutcome};
 
 /// A tiny statement language rendered to KISS-C text.
 #[derive(Debug, Clone)]
@@ -139,7 +140,9 @@ fn render_program(w1: &S, w2: &S, m1: &S, m2: &S) -> String {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, max_shrink_iters: 200, ..ProptestConfig::default() })]
 
-    /// Both directions of Theorem 1 on random programs.
+    /// Both directions of Theorem 1 on random programs, for every
+    /// engine; every explicit or bfs assertion violation must also
+    /// replay on the concurrent program.
     #[test]
     fn kiss_errs_iff_a_balanced_execution_errs(
         w1 in stmt_strategy(),
@@ -161,19 +164,32 @@ proptest! {
         let balanced_fails = conc.is_fail();
 
         // KISS with ts effectively unbounded (2 forks, MAX = 2).
-        let outcome = Kiss::new()
-            .with_max_ts(2)
-            .with_validation(false)
-            .check_assertions(&program);
-        prop_assume!(!outcome.is_inconclusive());
-        let kiss_fails = outcome.found_error();
-
-        prop_assert_eq!(
-            kiss_fails,
-            balanced_fails,
-            "Theorem 1 violated on:\n{}\nconc: {:?}\nkiss: {:?}",
-            src, conc, outcome
-        );
+        for engine in [Engine::Explicit, Engine::Bfs, Engine::Summary] {
+            let outcome = Kiss::new()
+                .with_max_ts(2)
+                .with_engine(engine)
+                .with_validation(true)
+                .check_assertions(&program);
+            if outcome.is_inconclusive() {
+                continue;
+            }
+            prop_assert_eq!(
+                outcome.found_error(),
+                balanced_fails,
+                "Theorem 1 violated by the {} engine on:\n{}\nconc: {:?}\nkiss: {:?}",
+                engine.name(), src, conc, outcome
+            );
+            // Summary reports carry no trace to replay.
+            if let (KissOutcome::AssertionViolation(report), Engine::Explicit | Engine::Bfs) =
+                (&outcome, engine)
+            {
+                prop_assert!(
+                    report.validated == Some(true),
+                    "the {} engine's violation does not replay on:\n{}\nkiss: {:?}",
+                    engine.name(), src, outcome
+                );
+            }
+        }
     }
 
     /// The weaker soundness direction against *free* exploration: a
