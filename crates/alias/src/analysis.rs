@@ -39,16 +39,8 @@ impl AliasAnalysis {
             graph: PtGraph::new(),
             nodes: HashMap::new(),
             program,
-            address_taken_funcs: Vec::new(),
+            address_taken_funcs: address_taken_funcs(program),
         };
-        // Collect functions used as values (targets of indirect calls).
-        for (i, f) in program.funcs.iter().enumerate() {
-            let _ = f;
-            if program_mentions_fn(program, FuncId(i as u32)) {
-                cx.address_taken_funcs.push(FuncId(i as u32));
-            }
-        }
-        // Global initializers that store function references.
         for f in 0..program.funcs.len() {
             let fid = FuncId(f as u32);
             cx.walk_stmt(fid, &program.funcs[f].body);
@@ -110,20 +102,36 @@ pub fn var_loc(func: FuncId, var: VarRef) -> AbsLoc {
     }
 }
 
-fn program_mentions_fn(program: &Program, f: FuncId) -> bool {
-    fn stmt_mentions(s: &Stmt, f: FuncId) -> bool {
-        match &s.kind {
-            StmtKind::Assign(_, Rvalue::Operand(Operand::Const(Const::Fn(g)))) => *g == f,
-            StmtKind::Seq(ss) | StmtKind::Choice(ss) => ss.iter().any(|s| stmt_mentions(s, f)),
-            StmtKind::Atomic(b) | StmtKind::Iter(b) => stmt_mentions(b, f),
-            StmtKind::Call { args, .. } | StmtKind::Async { args, .. } => {
-                args.iter().any(|a| matches!(a, Operand::Const(Const::Fn(g)) if *g == f))
-            }
-            _ => false,
+/// The functions used as values — the possible targets of an indirect
+/// call — in ascending id order: those named by a global initializer,
+/// stored by an assignment, or passed as a call or `async` argument.
+fn address_taken_funcs(program: &Program) -> Vec<FuncId> {
+    fn mark(op: &Operand, taken: &mut [bool]) {
+        if let Operand::Const(Const::Fn(f)) = op {
+            taken[f.0 as usize] = true;
         }
     }
-    program.globals.iter().any(|g| matches!(g.init, Some(Const::Fn(x)) if x == f))
-        || program.funcs.iter().any(|fd| stmt_mentions(&fd.body, f))
+    fn walk(s: &Stmt, taken: &mut [bool]) {
+        match &s.kind {
+            StmtKind::Assign(_, Rvalue::Operand(op)) => mark(op, taken),
+            StmtKind::Seq(ss) | StmtKind::Choice(ss) => ss.iter().for_each(|s| walk(s, taken)),
+            StmtKind::Atomic(b) | StmtKind::Iter(b) => walk(b, taken),
+            StmtKind::Call { args, .. } | StmtKind::Async { args, .. } => {
+                args.iter().for_each(|a| mark(a, taken));
+            }
+            _ => {}
+        }
+    }
+    let mut taken = vec![false; program.funcs.len()];
+    for g in &program.globals {
+        if let Some(Const::Fn(f)) = g.init {
+            taken[f.0 as usize] = true;
+        }
+    }
+    for f in &program.funcs {
+        walk(&f.body, &mut taken);
+    }
+    (0..program.funcs.len() as u32).map(FuncId).filter(|f| taken[f.0 as usize]).collect()
 }
 
 struct Cx<'a> {
@@ -356,6 +364,47 @@ mod tests {
         let h = p.func_by_name("h").unwrap();
         let sid = p.struct_by_name("D").unwrap();
         assert!(a.deref_may_touch(h, VarRef::Local(LocalId(0)), AbsLoc::Field(sid, 0)));
+    }
+
+    /// Analyzes a program in which `g(r)`-style indirect calls pass
+    /// `r = &z`, and `k` is only ever called directly with `&y`.
+    /// Returns whether `h`'s and `k`'s parameter may point to `z`:
+    /// `h`'s does exactly when `h` is address-taken, `k`'s never.
+    fn params_reach_z(globals: &str, body: &str) -> (bool, bool) {
+        let (mut a, p) = analyze(&format!(
+            "int z; int y; {globals}
+             void h(int *x) {{ *x = 1; }}
+             void k(int *x) {{ *x = 2; }}
+             void run(fn f, int *p) {{ f(p); }}
+             void main() {{ int *r; int *q; fn g; r = &z; q = &y; k(q); {body} }}"
+        ));
+        let z = AbsLoc::Global(p.global_by_name("z").unwrap());
+        let x = VarRef::Local(LocalId(0));
+        let h = p.func_by_name("h").unwrap();
+        let k = p.func_by_name("k").unwrap();
+        (a.deref_may_touch(h, x, z), a.deref_may_touch(k, x, z))
+    }
+
+    #[test]
+    fn each_use_as_a_value_makes_a_function_address_taken() {
+        for (globals, body) in [
+            ("fn gf = h;", "gf(r);"),
+            ("", "g = h; g(r);"),
+            ("", "run(h, r);"),
+            ("", "async run(h, r);"),
+            ("", "choice { g = h; [] skip; } g(r);"),
+            ("", "iter { g = h; } g(r);"),
+            ("", "atomic { g = h; } g(r);"),
+            ("", "choice { skip; [] run(h, r); }"),
+            ("", "iter { async run(h, r); }"),
+        ] {
+            assert_eq!(params_reach_z(globals, body), (true, false), "{globals} {body}");
+        }
+    }
+
+    #[test]
+    fn a_function_only_called_directly_is_not_address_taken() {
+        assert_eq!(params_reach_z("", "h(q); g(r);"), (false, false));
     }
 
     #[test]

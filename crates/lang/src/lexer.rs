@@ -18,36 +18,63 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LangError> {
 }
 
 struct Lexer<'a> {
-    chars: Vec<char>,
+    src: &'a str,
+    /// Byte offset into `src`.
     pos: usize,
     line: u32,
+    /// Counts chars, not bytes.
     col: u32,
-    src: &'a str,
 }
 
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
-        Lexer { chars: src.chars().collect(), pos: 0, line: 1, col: 1, src }
+        Lexer { src, pos: 0, line: 1, col: 1 }
     }
 
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+    fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
     }
 
-    fn peek2(&self) -> Option<char> {
-        self.chars.get(self.pos + 1).copied()
+    fn peek2(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos + 1).copied()
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
+    /// Consumes one byte. A UTF-8 continuation byte does not advance
+    /// the column, so a multi-byte char counts as one.
+    fn bump(&mut self) -> Option<u8> {
+        let b = self.peek()?;
         self.pos += 1;
-        if c == '\n' {
+        if b == b'\n' {
             self.line += 1;
             self.col = 1;
-        } else {
+        } else if b & 0xC0 != 0x80 {
             self.col += 1;
         }
+        Some(b)
+    }
+
+    /// Consumes the whole char at `pos`, which must be a char boundary.
+    fn bump_char(&mut self) -> Option<char> {
+        let b = self.peek()?;
+        if b.is_ascii() {
+            self.bump();
+            return Some(char::from(b));
+        }
+        let c = self.src[self.pos..].chars().next()?;
+        self.pos += c.len_utf8();
+        self.col += 1;
         Some(c)
+    }
+
+    /// Consumes the longest run of ASCII bytes matching `pred` and
+    /// returns it.
+    fn bump_ascii_while(&mut self, pred: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        let len =
+            self.src.as_bytes()[start..].iter().take_while(|&&b| b.is_ascii() && pred(b)).count();
+        self.pos += len;
+        self.col += len as u32;
+        &self.src[start..self.pos]
     }
 
     fn span(&self) -> Span {
@@ -68,8 +95,8 @@ impl<'a> Lexer<'a> {
                 return Ok(out);
             };
             let tok = match c {
-                'a'..='z' | 'A'..='Z' | '_' => self.lex_word(),
-                '0'..='9' => self.lex_number()?,
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.lex_word(),
+                b'0'..=b'9' => self.lex_number()?,
                 _ => self.lex_symbol()?,
             };
             out.push(Token { tok, span });
@@ -79,23 +106,28 @@ impl<'a> Lexer<'a> {
     fn skip_trivia(&mut self) -> Result<(), LangError> {
         loop {
             match self.peek() {
-                Some(c) if c.is_whitespace() => {
+                Some(b) if b.is_ascii() && char::from(b).is_whitespace() => {
                     self.bump();
                 }
-                Some('/') if self.peek2() == Some('/') => {
-                    while let Some(c) = self.bump() {
-                        if c == '\n' {
+                Some(b)
+                    if !b.is_ascii() && self.src[self.pos..].starts_with(char::is_whitespace) =>
+                {
+                    self.bump_char();
+                }
+                Some(b'/') if self.peek2() == Some(b'/') => {
+                    while let Some(b) = self.bump() {
+                        if b == b'\n' {
                             break;
                         }
                     }
                 }
-                Some('/') if self.peek2() == Some('*') => {
+                Some(b'/') if self.peek2() == Some(b'*') => {
                     let start = self.span();
                     self.bump();
                     self.bump();
                     let mut closed = false;
-                    while let Some(c) = self.bump() {
-                        if c == '*' && self.peek() == Some('/') {
+                    while let Some(b) = self.bump() {
+                        if b == b'*' && self.peek() == Some(b'/') {
                             self.bump();
                             closed = true;
                             break;
@@ -115,29 +147,14 @@ impl<'a> Lexer<'a> {
     }
 
     fn lex_word(&mut self) -> Tok {
-        let mut word = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                word.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        Tok::keyword(&word).unwrap_or(Tok::Ident(word))
+        let word = self.bump_ascii_while(|b| b.is_ascii_alphanumeric() || b == b'_');
+        Tok::keyword(word).unwrap_or_else(|| Tok::Ident(word.to_string()))
     }
 
     fn lex_number(&mut self) -> Result<Tok, LangError> {
-        let mut digits = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() {
-                digits.push(c);
-                self.bump();
-            } else if c.is_ascii_alphabetic() || c == '_' {
-                return Err(self.error(format!("invalid digit `{c}` in number")));
-            } else {
-                break;
-            }
+        let digits = self.bump_ascii_while(|b| b.is_ascii_digit());
+        if let Some(b) = self.peek().filter(|b| b.is_ascii_alphabetic() || *b == b'_') {
+            return Err(self.error(format!("invalid digit `{}` in number", char::from(b))));
         }
         digits
             .parse::<i64>()
@@ -146,8 +163,8 @@ impl<'a> Lexer<'a> {
     }
 
     fn lex_symbol(&mut self) -> Result<Tok, LangError> {
-        let c = self.bump().expect("caller checked peek");
-        let two = |lexer: &mut Self, next: char, yes: Tok, no: Tok| {
+        let c = self.bump_char().expect("caller checked peek");
+        let two = |lexer: &mut Self, next: u8, yes: Tok, no: Tok| {
             if lexer.peek() == Some(next) {
                 lexer.bump();
                 yes
@@ -166,21 +183,21 @@ impl<'a> Lexer<'a> {
             '%' => Tok::Percent,
             '*' => Tok::Star,
             '[' => {
-                if self.peek() == Some(']') {
+                if self.peek() == Some(b']') {
                     self.bump();
                     Tok::BranchSep
                 } else {
                     return Err(self.error("expected `]` after `[` (choice separator is `[]`)"));
                 }
             }
-            '-' => two(self, '>', Tok::Arrow, Tok::Minus),
-            '=' => two(self, '=', Tok::EqEq, Tok::Assign),
-            '!' => two(self, '=', Tok::NotEq, Tok::Bang),
-            '<' => two(self, '=', Tok::Le, Tok::Lt),
-            '>' => two(self, '=', Tok::Ge, Tok::Gt),
-            '&' => two(self, '&', Tok::AndAnd, Tok::Amp),
+            '-' => two(self, b'>', Tok::Arrow, Tok::Minus),
+            '=' => two(self, b'=', Tok::EqEq, Tok::Assign),
+            '!' => two(self, b'=', Tok::NotEq, Tok::Bang),
+            '<' => two(self, b'=', Tok::Le, Tok::Lt),
+            '>' => two(self, b'=', Tok::Ge, Tok::Gt),
+            '&' => two(self, b'&', Tok::AndAnd, Tok::Amp),
             '|' => {
-                if self.peek() == Some('|') {
+                if self.peek() == Some(b'|') {
                     self.bump();
                     Tok::OrOr
                 } else {
@@ -188,7 +205,6 @@ impl<'a> Lexer<'a> {
                 }
             }
             other => {
-                let _ = self.src;
                 return Err(self.error(format!("unexpected character `{other}`")));
             }
         })
@@ -279,5 +295,37 @@ mod tests {
     #[test]
     fn rejects_unknown_character() {
         assert!(lex("#").is_err());
+    }
+
+    #[test]
+    fn columns_count_chars_not_bytes() {
+        let tokens = lex("/* é */ x").unwrap();
+        assert_eq!(tokens[0].span, Span::new(1, 9));
+        let tokens = lex("x // é\n y").unwrap();
+        assert_eq!(tokens[1].span, Span::new(2, 2));
+    }
+
+    #[test]
+    fn a_stray_non_ascii_char_is_named_whole() {
+        // Like every symbol error, the span is the column after the char.
+        let err = lex("x é").unwrap_err();
+        assert_eq!(err.message, "unexpected character `é`");
+        assert_eq!(err.span, Some(Span::new(1, 4)));
+        let err = lex("1é").unwrap_err();
+        assert_eq!(err.message, "unexpected character `é`");
+        assert_eq!(err.span, Some(Span::new(1, 3)));
+    }
+
+    #[test]
+    fn non_ascii_whitespace_is_skipped() {
+        let tokens = lex("x\u{a0}y\u{2028}z").unwrap();
+        let got: Vec<_> = tokens.into_iter().map(|t| (t.tok, t.span.col)).collect();
+        assert_eq!(got, vec![
+            (Tok::Ident("x".into()), 1),
+            (Tok::Ident("y".into()), 3),
+            (Tok::Ident("z".into()), 5),
+            (Tok::Eof, 6)
+        ]);
+        assert_eq!(toks("\u{b}x"), vec![Tok::Ident("x".into()), Tok::Eof]);
     }
 }

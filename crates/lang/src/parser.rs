@@ -29,12 +29,12 @@ impl Parser {
         self.tokens[self.pos.min(self.tokens.len() - 1)].span
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].tok.clone();
+    /// Moves past the current token (never past `Eof`). Lookahead only
+    /// goes forward, so a consumed token is never read again.
+    fn bump(&mut self) {
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
-        t
     }
 
     fn eat(&mut self, expected: &Tok) -> Result<(), LangError> {
@@ -46,14 +46,15 @@ impl Parser {
         }
     }
 
+    /// Consumes an identifier, moving its name out of the token.
     fn eat_ident(&mut self) -> Result<String, LangError> {
-        match self.peek().clone() {
-            Tok::Ident(name) => {
-                self.bump();
-                Ok(name)
-            }
-            other => Err(self.error(format!("expected identifier, found {}", other.describe()))),
+        let at = self.pos.min(self.tokens.len() - 1);
+        if let Tok::Ident(name) = &mut self.tokens[at].tok {
+            let name = std::mem::take(name);
+            self.bump();
+            return Ok(name);
         }
+        Err(self.error(format!("expected identifier, found {}", self.peek().describe())))
     }
 
     fn error(&self, msg: impl Into<String>) -> LangError {
@@ -117,7 +118,7 @@ impl Parser {
     }
 
     fn parse_type(&mut self) -> Result<Type, LangError> {
-        let mut ty = match self.peek().clone() {
+        let mut ty = match self.peek() {
             Tok::KwInt => {
                 self.bump();
                 Type::Int
@@ -130,10 +131,7 @@ impl Parser {
                 self.bump();
                 Type::Fn
             }
-            Tok::Ident(name) => {
-                self.bump();
-                Type::Named(name)
-            }
+            Tok::Ident(_) => Type::Named(self.eat_ident()?),
             other => return Err(self.error(format!("expected a type, found {}", other.describe()))),
         };
         while self.peek() == &Tok::Star {
@@ -212,7 +210,7 @@ impl Parser {
 
     fn parse_stmt(&mut self) -> Result<Stmt, LangError> {
         let span = self.span();
-        let kind = match self.peek().clone() {
+        let kind = match self.peek() {
             Tok::KwSkip => {
                 self.bump();
                 self.eat(&Tok::Semi)?;
@@ -338,13 +336,11 @@ impl Parser {
 
     fn parse_assign_or_call(&mut self) -> Result<StmtKind, LangError> {
         // Call statement without destination: `f(args);`
-        if let Tok::Ident(name) = self.peek().clone() {
-            if self.peek_at(1) == &Tok::LParen {
-                self.bump();
-                let args = self.parse_call_args()?;
-                self.eat(&Tok::Semi)?;
-                return Ok(StmtKind::Call { dest: None, callee: name, args });
-            }
+        if matches!(self.peek(), Tok::Ident(_)) && self.peek_at(1) == &Tok::LParen {
+            let callee = self.eat_ident()?;
+            let args = self.parse_call_args()?;
+            self.eat(&Tok::Semi)?;
+            return Ok(StmtKind::Call { dest: None, callee, args });
         }
         let lv = self.parse_lvalue()?;
         self.eat(&Tok::Assign)?;
@@ -358,13 +354,11 @@ impl Parser {
             return Ok(StmtKind::Malloc(lv, sname));
         }
         // `lv = f(args);`
-        if let Tok::Ident(name) = self.peek().clone() {
-            if self.peek_at(1) == &Tok::LParen {
-                self.bump();
-                let args = self.parse_call_args()?;
-                self.eat(&Tok::Semi)?;
-                return Ok(StmtKind::Call { dest: Some(lv), callee: name, args });
-            }
+        if matches!(self.peek(), Tok::Ident(_)) && self.peek_at(1) == &Tok::LParen {
+            let callee = self.eat_ident()?;
+            let args = self.parse_call_args()?;
+            self.eat(&Tok::Semi)?;
+            return Ok(StmtKind::Call { dest: Some(lv), callee, args });
         }
         let rhs = self.parse_expr()?;
         self.eat(&Tok::Semi)?;
@@ -444,7 +438,7 @@ impl Parser {
     }
 
     fn parse_unary(&mut self) -> Result<Expr, LangError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Bang => {
                 self.bump();
                 Ok(Expr::Un(UnOp::Not, Box::new(self.parse_unary()?)))
@@ -473,8 +467,8 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> Result<Expr, LangError> {
-        match self.peek().clone() {
-            Tok::Int(n) => {
+        match self.peek() {
+            &Tok::Int(n) => {
                 self.bump();
                 Ok(Expr::Int(n))
             }
@@ -490,8 +484,8 @@ impl Parser {
                 self.bump();
                 Ok(Expr::Null)
             }
-            Tok::Ident(name) => {
-                self.bump();
+            Tok::Ident(_) => {
+                let name = self.eat_ident()?;
                 if self.peek() == &Tok::Arrow {
                     self.bump();
                     let field = self.eat_ident()?;

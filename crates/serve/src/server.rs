@@ -7,10 +7,13 @@
 //! over nonblocking sockets, so hundreds of idle clients cost file
 //! descriptors, not threads. Each driver iteration adopts newly
 //! accepted streams, pumps readable bytes into frames, retries
-//! deferred admissions, and flushes queued responses; when an
-//! iteration makes no progress the driver backs off with an adaptive
-//! sleep (50µs doubling to 5ms), so a hot connection is served at
-//! poll speed while an idle server costs almost nothing.
+//! deferred admissions, and flushes queued responses. Any progress —
+//! a connection adopted, an admission resolved, bytes read, an answer
+//! flushed — keeps the driver polling; an iteration with none backs
+//! off with an adaptive sleep (50µs doubling to 5ms). A client's next
+//! frame usually follows its last answer within microseconds, so a
+//! connection is served at poll speed while an idle server costs
+//! almost nothing.
 //!
 //! Parsed requests either answer immediately from the result cache or
 //! enqueue a job for the worker pool, so responses can arrive out of
@@ -160,7 +163,9 @@ struct Outgoing {
 /// next backoff tick. This matters most when checks are the only
 /// activity: without it a driver burns a wake-up ramp per completion
 /// (stealing cycles from the very worker producing them) yet still
-/// adds up to [`DRIVE_MAX_SLEEP`] of latency per response.
+/// adds up to [`DRIVE_MAX_SLEEP`] of latency per response. Nothing
+/// rings for a frame the client sends after an answer, so flushing
+/// that answer resets the backoff and the driver polls for the frame.
 ///
 /// Aligned to its own pair of cache lines: the driver locks its bell on
 /// every answer and every idle pass, and whether the small allocation
@@ -673,15 +678,13 @@ impl Conn {
 
     /// One driver visit: read what the socket has, frame and dispatch
     /// it, then flush whatever the outbox and `wbuf` hold. Returns
-    /// `(read_progress, any_progress)` — the driver polls hot only
-    /// after inbound activity, because outbound work announces itself
-    /// through the doorbell.
+    /// whether it read or wrote anything.
     fn pump(
         &mut self,
         shared: &Shared<'_>,
         waiting: &mut VecDeque<Waiting>,
         shutdown: &CancelToken,
-    ) -> (bool, bool) {
+    ) -> bool {
         let mut progress = false;
         if shutdown.is_cancelled() {
             self.read_closed = true;
@@ -724,7 +727,7 @@ impl Conn {
             }
         }
         let flushed = self.flush(shared);
-        (progress, progress | flushed)
+        progress | flushed
     }
 
     /// Splits complete lines out of `rbuf` and handles each frame.
@@ -868,24 +871,20 @@ fn driver_loop(
     let mut announced = false;
     let mut idle_sleep = DRIVE_MIN_SLEEP;
     loop {
-        // Inbound activity (new connections, admissions resolving,
-        // bytes read) resets the backoff: more is probably coming and
-        // only polling will see it. Outbound progress alone does not —
-        // the next completion rings the bell, so sleeping long costs
-        // no latency and spares the CPU for the workers producing it.
-        let mut inbound = false;
+        // Any progress resets the backoff, an answer flushed included:
+        // a client that waits on its answer sends its next frame right
+        // after it, and socket readability rings no bell, so a driver
+        // that slept on after a flush would leave that frame unread for
+        // up to the backoff ceiling.
         let mut progress = false;
         for stream in injector.lock().expect("injector lock").drain(..) {
             conns.push(Conn::adopt(stream, shared.metrics, bell));
-            inbound = true;
+            progress = true;
         }
-        inbound |= pump_waiting(&mut waiting, shared);
+        progress |= pump_waiting(&mut waiting, shared);
         for conn in &mut conns {
-            let (read, any) = conn.pump(shared, &mut waiting, shutdown);
-            inbound |= read;
-            progress |= any;
+            progress |= conn.pump(shared, &mut waiting, shutdown);
         }
-        progress |= inbound;
         conns.retain(|conn| {
             let done = conn.finished(shared);
             if done {
@@ -902,10 +901,8 @@ fn driver_loop(
         if announced && conns.is_empty() {
             return;
         }
-        if inbound {
-            idle_sleep = DRIVE_MIN_SLEEP;
-        }
         if progress {
+            idle_sleep = DRIVE_MIN_SLEEP;
             // Stay hot but let peers run: on a machine with fewer
             // cores than threads, a driver that loops without yielding
             // starves the very clients (and workers) it is serving

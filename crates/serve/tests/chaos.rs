@@ -18,14 +18,14 @@
 
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use kiss_fault::{Action, Policy, Trigger};
 use kiss_obs::{Aggregator, Obs};
 use kiss_seq::{Budget, CancelToken};
 use kiss_serve::{
-    submit_batch, submit_batch_with, Endpoint, Request, ServeConfig, ServeStats, Server,
-    SubmitOptions,
+    decode_response, submit_batch, submit_batch_with, Endpoint, Request, ServeConfig, ServeStats,
+    Server, SubmitOptions,
 };
 
 static CHAOS: Mutex<()> = Mutex::new(());
@@ -295,6 +295,59 @@ fn a_dropped_connection_is_survived_by_client_reconnect() {
     let stats = server.stop();
     balance(&stats);
     assert!(kiss_fault::total_fired() >= 1, "the write fault fired");
+    kiss_fault::reset();
+}
+
+#[test]
+fn a_frame_sent_right_after_an_answer_is_read_without_backoff() {
+    let _chaos = arm_chaos();
+    use std::io::{BufRead, BufReader, Write};
+    // Each check keeps the driver idle for 30 ms, long enough for its
+    // backoff to reach the ceiling. The worker's answer rings the bell;
+    // the client's next frame, sent on the same connection right after
+    // it, rings nothing, so the driver must still be polling to read it.
+    kiss_fault::set(
+        "serve.worker",
+        Policy { action: Action::Delay(Duration::from_millis(30)), trigger: Trigger::Always },
+    );
+    let server = ChaosServer::boot("wakeup", |cfg| cfg.jobs = 1);
+    let mut stream =
+        std::os::unix::net::UnixStream::connect(&server.socket).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut line = String::new();
+    let mut round_trips = Vec::new();
+    for i in 0..10 {
+        let check = Request::check(
+            format!("w{i}"),
+            format!("int x;\nvoid main() {{ x = {i}; assert x == {i}; }}"),
+        );
+        stream.write_all(format!("{}\n", check.to_json()).as_bytes()).expect("send check");
+        line.clear();
+        reader.read_line(&mut line).expect("check answer");
+        let answer = decode_response(line.trim_end()).expect("decode check answer");
+        assert_eq!((answer.id, answer.verdict), (format!("w{i}"), "pass".to_string()));
+
+        let ping = format!("{}\n", Request::status(format!("s{i}")).to_json());
+        let sent = Instant::now();
+        stream.write_all(ping.as_bytes()).expect("send status");
+        line.clear();
+        reader.read_line(&mut line).expect("status reply");
+        round_trips.push(sent.elapsed());
+        let reply = decode_response(line.trim_end()).expect("decode status reply");
+        assert_eq!(reply.id, format!("s{i}"));
+    }
+    // Half the driver's 5 ms backoff ceiling: a driver that slept on
+    // after flushing the answer reads the ping only at its next tick.
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_micros(2500),
+        "a ping after an answer waited out the backoff: median {median:?}, all {round_trips:?}"
+    );
+    balance(&server.stop());
     kiss_fault::reset();
 }
 
