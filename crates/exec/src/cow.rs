@@ -282,8 +282,9 @@ impl<T: Clone + Ord> Ord for CowVec<T> {
     }
 }
 
-// Hashes exactly like a `Vec<T>` (length prefix, then elements), so
-// fingerprints of configs are unchanged by the representation switch.
+// Hashes exactly like a `Vec<T>` (length prefix, then elements). State
+// fingerprints go through `hash_cached` instead; this impl serves hash
+// maps keyed on memory, such as the summary engine's entry states.
 impl<T: Clone + std::hash::Hash> std::hash::Hash for CowVec<T> {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         state.write_usize(self.len);

@@ -4,6 +4,8 @@
 //! each operation that operand shapes match, and report a runtime error
 //! (distinct from an assertion failure) otherwise.
 
+use std::hash::Hasher;
+
 use kiss_lang::hir::{Const, FuncId, GlobalId, StructId};
 use kiss_lang::Program;
 
@@ -152,6 +154,17 @@ impl Memory {
             })
             .collect();
         Memory { globals, heap: CowVec::new() }
+    }
+
+    /// Feeds globals and heap into `state` through their cached chunk
+    /// digests ([`CowVec::hash_cached`]): a chunk shared with another
+    /// state is hashed once, whichever state asks first. Equal memories
+    /// feed equal streams, whatever their sharing history; the stream is
+    /// not the derived `Hash` one, so a visited table must use one of
+    /// the two throughout.
+    pub fn hash_cached<H: Hasher>(&self, state: &mut H) {
+        self.globals.hash_cached(state);
+        self.heap.hash_cached(state);
     }
 
     /// Allocates a struct instance with all fields defaulted, returning

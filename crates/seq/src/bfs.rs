@@ -137,7 +137,7 @@ impl<'a> BfsChecker<'a> {
             None => VisitedTable::new(),
         };
         let (root_id, _) = visited
-            .insert(root.fingerprint_base().with_pc(root.top_pc()))
+            .insert(root.fingerprint())
             .expect("an empty table is never at capacity");
         let mut store = Store {
             visited,

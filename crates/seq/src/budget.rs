@@ -177,8 +177,10 @@ impl Usage {
     }
 }
 
-/// Approximate bytes one fingerprinted state costs: a `(u64, u64)`
-/// fingerprint plus `HashSet` bucket overhead.
+/// Bytes one fingerprinted state is charged against `max_mem_bytes`.
+/// A conservative estimate: the visited table measures about 32 B per
+/// state (a 16-byte fingerprint plus its 4-byte slots, both with growth
+/// headroom). The value decides where `--mem-limit` trips.
 pub const BYTES_PER_FINGERPRINT: usize = 48;
 
 /// Per-check budget enforcement shared by all engines.

@@ -1,5 +1,14 @@
 //! The sequential execution configuration: shared memory plus a single
-//! call stack.
+//! call stack, and the one fingerprint scheme every engine keys its
+//! visited table on.
+//!
+//! A fingerprint is 128 bits from one traversal. Memory goes in through
+//! the per-chunk digests cached inside its shared chunks
+//! ([`Memory::hash_cached`]), so the cost of recording a state follows
+//! what its path wrote, not the size of memory. The stack goes in
+//! element-wise, the top frame's pc last, so BFS can hash a branch's
+//! shared part once ([`Config::fingerprint_base`]) and finish each
+//! alternative with its pc.
 
 use std::hash::{Hash, Hasher};
 
@@ -62,42 +71,30 @@ impl Config {
         }
     }
 
-    /// A 128-bit fingerprint for visited-state hashing.
+    /// The 128-bit fingerprint every engine keys its visited table on:
+    /// [`Config::fingerprint_base`] finished with the top frame's pc.
     ///
-    /// Computed in a **single traversal** of the configuration: every
-    /// hash write feeds two independently seeded multiply-rotate lanes.
-    /// Fingerprinting happens once per recorded state on the engines'
-    /// hot path — for driver harnesses the heap holds wide extension
-    /// structs, so both the old scheme's double traversal and its
-    /// SipHash lanes were measurable. Two 64-bit lanes with distinct
-    /// odd multipliers and a splitmix64 finalizer keep the 128-bit
-    /// collision behaviour (verified against the old double-pass
-    /// scheme in the tests below) at a fraction of the cost.
+    /// A finished configuration (empty stack) has no top frame and
+    /// finishes with a fixed pc instead; its stack length, hashed into
+    /// the base, already separates it from every running one.
     pub fn fingerprint(&self) -> (u64, u64) {
-        let mut h = TwoLaneHasher::new();
-        self.hash(&mut h);
-        h.finish_pair()
+        let pc = self.stack.last().map_or(usize::MAX, |frame| frame.pc);
+        self.fingerprint_base().with_pc(pc)
     }
 
-    /// The incremental half of a **split fingerprint**: hashes the
-    /// whole configuration *except* the top frame's program counter.
+    /// Everything of the fingerprint but the top frame's pc, in one
+    /// traversal: every hash write feeds two independently seeded
+    /// multiply-rotate lanes, and memory goes in through its cached
+    /// chunk digests ([`Memory::hash_cached`]). A driver harness's heap
+    /// holds a wide extension struct of which a path writes a few
+    /// fields, so most of its chunks cost one digest load.
     ///
-    /// On a nondeterministic branch every alternative shares memory,
-    /// stack and locals with its siblings and differs only in the top
-    /// pc, so the BFS store hashes the common part once and derives
-    /// each alternative's fingerprint with [`FpBase::with_pc`] — one
-    /// traversal plus N O(1) finishes instead of N full traversals.
-    ///
-    /// Split fingerprints hash their writes in a different order than
-    /// [`Config::fingerprint`], so the two schemes must not be mixed
-    /// within one visited table.
+    /// On a nondeterministic branch every alternative differs from its
+    /// siblings only in the top pc, so BFS hashes the base once and
+    /// finishes each alternative with [`FpBase::with_pc`].
     pub fn fingerprint_base(&self) -> FpBase {
         let mut h = TwoLaneHasher::new();
-        // Memory goes in through the cached per-chunk digests: chunks
-        // shared with sibling states were already digested once, so a
-        // branch re-hashes only the chunks this path actually wrote.
-        self.mem.globals.hash_cached(&mut h);
-        self.mem.heap.hash_cached(&mut h);
+        self.mem.hash_cached(&mut h);
         h.write_usize(self.stack.len());
         let top = self.stack.len().wrapping_sub(1);
         for (i, frame) in self.stack.iter().enumerate() {
@@ -109,12 +106,6 @@ impl Config {
             frame.dest.hash(&mut h);
         }
         FpBase { h }
-    }
-
-    /// The top frame's program counter — the part a split fingerprint
-    /// defers; panics on an empty stack (never fingerprinted).
-    pub fn top_pc(&self) -> usize {
-        self.stack.last().expect("fingerprinted config has a frame").pc
     }
 }
 
@@ -137,14 +128,23 @@ impl FpBase {
     }
 }
 
-/// A 128-bit single-pass fingerprint of any hashable value, using the
-/// same two-lane scheme as [`Config::fingerprint`]. The summary engine
-/// keys its per-body visited tables on interprocedural `State`s rather
-/// than `Config`s, and this saves it the historical double
-/// `DefaultHasher` traversal.
+/// A 128-bit single-pass fingerprint of any hashable value, on the
+/// lanes of [`Config::fingerprint`]. The LTL product folds a
+/// configuration's fingerprint and its Büchi state through it.
 pub fn fingerprint_of<T: Hash>(value: &T) -> (u64, u64) {
     let mut h = TwoLaneHasher::new();
     value.hash(&mut h);
+    h.finish_pair()
+}
+
+/// The fingerprint of the summary engine's intra-function state: `mem`
+/// through its cached chunk digests, as in [`Config::fingerprint_base`],
+/// then the locals and the pc.
+pub(crate) fn state_fingerprint(mem: &Memory, locals: &[Value], pc: usize) -> (u64, u64) {
+    let mut h = TwoLaneHasher::new();
+    mem.hash_cached(&mut h);
+    locals.hash(&mut h);
+    h.write_usize(pc);
     h.finish_pair()
 }
 
@@ -410,12 +410,10 @@ mod tests {
     }
 
     /// The historical fingerprint: two complete `DefaultHasher`
-    /// traversals, the second seeded. Kept as the distribution oracle:
-    /// any family of configurations the old scheme kept distinct, the
-    /// new single-pass hasher must keep distinct too (no new
-    /// collisions), and equal configurations must still fingerprint
-    /// equally (guaranteed structurally — fingerprint is a pure
-    /// function of the hashed writes).
+    /// traversals of the derived `Hash`, the second seeded. Kept as the
+    /// distribution oracle: any family of configurations the old scheme
+    /// kept distinct, the cached-digest fingerprint must keep distinct
+    /// too (no new collisions).
     fn double_pass_fingerprint(c: &Config) -> (u64, u64) {
         let mut h1 = std::collections::hash_map::DefaultHasher::new();
         c.hash(&mut h1);
@@ -426,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn single_pass_fingerprint_is_deterministic_across_clones() {
+    fn fingerprint_is_deterministic_across_clones() {
         let m = module(
             "struct D { int x; int y; }
              int g; bool b;
@@ -454,8 +452,8 @@ mod tests {
     fn fingerprint_distribution_matches_the_double_pass_scheme() {
         // A family of systematically distinct configurations spanning
         // globals, pc, stack depth, and heap contents. The old
-        // double-pass scheme kept all of them distinct; the single-pass
-        // hasher must introduce no new collisions.
+        // double-pass scheme kept all of them distinct; the
+        // cached-digest fingerprint must introduce no new collisions.
         let m = module(
             "struct D { int x; int y; }
              int g; int h;
@@ -511,7 +509,7 @@ mod tests {
         for pc in 0..3usize {
             let mut alt = c.clone();
             alt.stack[0].pc = pc;
-            assert_eq!(base.with_pc(pc), alt.fingerprint_base().with_pc(alt.top_pc()));
+            assert_eq!(base.with_pc(pc), alt.fingerprint());
             assert!(seen.insert(base.with_pc(pc)), "pc {pc} collided");
         }
         // The base is sensitive to everything below the top pc.
@@ -522,6 +520,54 @@ mod tests {
         let mut deeper = c.clone();
         deeper.stack.push(Frame::enter(&m, f, &[Value::Int(1)], None));
         assert_ne!(base.with_pc(0), deeper.fingerprint_base().with_pc(0));
+    }
+
+    #[test]
+    fn finished_configs_fingerprint_apart_from_running_ones() {
+        let m = module("int g; void main() { g = 1; }");
+        let running = Config::initial(&m);
+        let finished = Config { mem: running.mem.clone(), stack: Vec::new() };
+        assert_eq!(finished.fingerprint(), finished.clone().fingerprint());
+        assert_ne!(finished.fingerprint(), running.fingerprint());
+    }
+
+    #[test]
+    fn fingerprints_depend_on_contents_not_write_history() {
+        let m = module(
+            "struct D { int x; int y; }
+             int g; int h;
+             void main() { D *p; p = malloc(D); }",
+        );
+        let build = || {
+            let mut c = Config::initial(&m);
+            c.mem.malloc(&m.program, kiss_lang::hir::StructId(0));
+            c
+        };
+        let mut c = build();
+        let before = c.fingerprint(); // seals every chunk's digest
+        c.mem.globals[1] = Value::Int(5);
+        c.mem.heap[0].fields[1] = Value::Int(6);
+        assert_ne!(c.fingerprint(), before, "writes must change the fingerprint");
+        c.mem.globals[1] = Value::Int(0);
+        c.mem.heap[0].fields[1] = Value::Int(0);
+        assert_eq!(c.fingerprint(), before);
+        assert_eq!(c.fingerprint(), build().fingerprint());
+        assert_eq!(c.fingerprint(), c.clone().fingerprint());
+    }
+
+    #[test]
+    fn state_fingerprints_separate_locals_pc_and_heap_fields() {
+        let m = module("struct D { int x; int y; } int g; void main() { D *p; p = malloc(D); }");
+        let mut mem = Memory::initial(&m.program);
+        mem.malloc(&m.program, kiss_lang::hir::StructId(0));
+        let locals = vec![Value::Int(1), Value::Null];
+        let base = state_fingerprint(&mem, &locals, 3);
+        assert_eq!(base, state_fingerprint(&mem.clone(), &locals.clone(), 3));
+        assert_ne!(base, state_fingerprint(&mem, &[Value::Int(2), Value::Null], 3));
+        assert_ne!(base, state_fingerprint(&mem, &locals, 4));
+        let mut other = mem.clone();
+        other.heap[0].fields[1] = Value::Int(1);
+        assert_ne!(base, state_fingerprint(&other, &locals, 3));
     }
 
     #[test]

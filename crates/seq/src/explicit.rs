@@ -5,6 +5,12 @@
 //! finite-state sequential programs; budget-bounded otherwise. This is
 //! the engine KISS feeds the sequentialized program to, playing the
 //! role SLAM plays in the paper's Figure 1.
+//!
+//! A state is recorded before every `Call` and `NondetJump`, through
+//! [`Config::fingerprint`]. Memory enters the fingerprint as the cached
+//! digests of its copy-on-write chunks, so a recorded state re-hashes
+//! only the chunks its path wrote since they were last shared; the
+//! rest of a driver harness's heap costs one digest load per chunk.
 
 use kiss_exec::{Instr, Module};
 use kiss_obs::Obs;

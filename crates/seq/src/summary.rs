@@ -23,7 +23,7 @@ use kiss_obs::Obs;
 
 use crate::budget::{BoundReason, Budget, Meter};
 use crate::cancel::CancelToken;
-use crate::config::{entry_locals, fingerprint_of};
+use crate::config::{entry_locals, state_fingerprint};
 use crate::stats::EngineStats;
 use crate::step::bind_call;
 use crate::store::VisitedTable;
@@ -160,7 +160,7 @@ struct Engine<'a> {
 }
 
 /// Intra-function exploration state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone)]
 struct State {
     mem: Memory,
     locals: Vec<Value>,
@@ -394,7 +394,7 @@ fn apply_exit(
 }
 
 fn record(visited: &mut VisitedTable, state: &State) -> Result<bool, BoundReason> {
-    match visited.insert(fingerprint_of(state)) {
+    match visited.insert(state_fingerprint(&state.mem, &state.locals, state.pc)) {
         Ok((_, new)) => Ok(new),
         Err(_) => Err(BoundReason::StateCap),
     }
