@@ -1,3 +1,3 @@
-//! kiss-bench: benchmark harnesses (see bin/ and benches/).
+//! kiss-bench: benchmark harnesses (see bin/).
 
 pub mod runner;

@@ -327,6 +327,32 @@ fn every_engine_matches_the_golden_exploration_table() {
     }
 }
 
+/// One pass of `engine` over the sample suite's assertion checks:
+/// summed steps, states stored and store bytes, and the largest
+/// frontier any sample reached.
+fn store_totals(engine: Engine) -> (u64, usize, usize, usize) {
+    let mut totals = (0, 0, 0, 0);
+    for sample in kiss_samples::all() {
+        if let Some(stats) = outcome(&sample, engine).stats() {
+            totals.0 += stats.steps();
+            totals.1 += stats.seq.states_stored;
+            totals.2 += stats.seq.store_bytes;
+            totals.3 = totals.3.max(stats.seq.frontier_peak);
+        }
+    }
+    totals
+}
+
+#[test]
+fn every_engine_keeps_its_state_store_footprint() {
+    // The golden table pins what each engine explores; this pins what
+    // its state store keeps while doing so. A leaner store lowers these
+    // numbers on purpose and updates them; a fatter one fails here.
+    assert_eq!(store_totals(Engine::Explicit), (3_798, 619, 17_920, 28));
+    assert_eq!(store_totals(Engine::Bfs), (3_984, 1_232, 96_512, 18));
+    assert_eq!(store_totals(Engine::Summary), (3_009, 563, 12_544, 0));
+}
+
 #[test]
 fn the_default_engine_is_explicit() {
     // A sample checked through the builder's defaults matches an

@@ -340,8 +340,8 @@ impl Kiss {
 
     /// Enables semantics-preserving optimization: unreachable functions
     /// are pruned before the transformation, and the transformed
-    /// program is simplified before checking. Verdicts are unchanged;
-    /// the `opt_ablation` benchmark measures the cost difference.
+    /// program is simplified before checking. Verdicts are unchanged
+    /// (pinned by the `optimize_preserves_verdicts` test).
     pub fn with_optimize(mut self, on: bool) -> Self {
         self.optimize = on;
         self

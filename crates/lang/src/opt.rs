@@ -13,8 +13,7 @@
 //!   initializers), remapping all function ids.
 //!
 //! Both preserve program behaviour exactly (including spans and
-//! origins, so KISS trace back-mapping still works); the checking-cost
-//! benefit is measured by the `opt_ablation` benchmark binary.
+//! origins, so KISS trace back-mapping still works).
 
 use std::collections::HashMap;
 
