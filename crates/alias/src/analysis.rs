@@ -3,8 +3,8 @@
 use std::collections::HashMap;
 
 use kiss_lang::hir::{
-    CallTarget, Const, FuncId, GlobalId, LocalId, Operand, Place, Program, Rvalue, Stmt, StmtKind,
-    StructId, VarRef,
+    CallTarget, Const, FnUse, FuncId, GlobalId, LocalId, Operand, Place, Program, Rvalue, Stmt,
+    StmtKind, StructId, VarRef,
 };
 
 use crate::unify::{NodeId, PtGraph};
@@ -104,24 +104,9 @@ pub fn var_loc(func: FuncId, var: VarRef) -> AbsLoc {
 
 /// The functions used as values — the possible targets of an indirect
 /// call — in ascending id order: those named by a global initializer,
-/// stored by an assignment, or passed as a call or `async` argument.
+/// stored by an assignment, passed as a call or `async` argument, or
+/// returned.
 fn address_taken_funcs(program: &Program) -> Vec<FuncId> {
-    fn mark(op: &Operand, taken: &mut [bool]) {
-        if let Operand::Const(Const::Fn(f)) = op {
-            taken[f.0 as usize] = true;
-        }
-    }
-    fn walk(s: &Stmt, taken: &mut [bool]) {
-        match &s.kind {
-            StmtKind::Assign(_, Rvalue::Operand(op)) => mark(op, taken),
-            StmtKind::Seq(ss) | StmtKind::Choice(ss) => ss.iter().for_each(|s| walk(s, taken)),
-            StmtKind::Atomic(b) | StmtKind::Iter(b) => walk(b, taken),
-            StmtKind::Call { args, .. } | StmtKind::Async { args, .. } => {
-                args.iter().for_each(|a| mark(a, taken));
-            }
-            _ => {}
-        }
-    }
     let mut taken = vec![false; program.funcs.len()];
     for g in &program.globals {
         if let Some(Const::Fn(f)) = g.init {
@@ -129,7 +114,11 @@ fn address_taken_funcs(program: &Program) -> Vec<FuncId> {
         }
     }
     for f in &program.funcs {
-        walk(&f.body, &mut taken);
+        f.body.visit_funcs(&mut |g, used| {
+            if used == FnUse::Value {
+                taken[g.0 as usize] = true;
+            }
+        });
     }
     (0..program.funcs.len() as u32).map(FuncId).filter(|f| taken[f.0 as usize]).collect()
 }
@@ -397,6 +386,7 @@ mod tests {
             ("", "atomic { g = h; } g(r);"),
             ("", "choice { skip; [] run(h, r); }"),
             ("", "iter { async run(h, r); }"),
+            ("fn get() { return h; }", "g = get(); g(r);"),
         ] {
             assert_eq!(params_reach_z(globals, body), (true, false), "{globals} {body}");
         }

@@ -24,6 +24,16 @@
 //!   conflict is only ever reported *across* two simulated threads.
 //!   A unification alias analysis (`kiss-alias`) prunes checks that
 //!   cannot touch the distinguished location.
+//!
+//! `Check(s)` runs only what the original `main` reaches: `main`, the
+//! functions global initializers name and, transitively, every direct
+//! call or `async` target and every function used as a value (assigned,
+//! passed or returned, see [`Stmt::visit_funcs`]) in a reachable body.
+//! Only those bodies are alias-analysed and instrumented, and so only
+//! they are lowered. Every other function keeps its id and signature
+//! with an empty body, so ids and trace mapping are unchanged. Reserved
+//! names and an unregistrable race target are still checked over the
+//! whole program.
 
 use kiss_alias::{AbsLoc, AliasAnalysis};
 use kiss_lang::build::{self, FnBuilder};
@@ -160,9 +170,12 @@ pub struct Transformed {
     pub ts_slots: Vec<TsSlot>,
     /// The configuration used.
     pub config: TransformConfig,
-    /// Number of race checks emitted / pruned by the alias analysis.
+    /// Number of race checks emitted after alias pruning.
     pub checks_emitted: usize,
-    /// Number of candidate checks removed by pruning.
+    /// Number of candidate checks the alias analysis removed, counted
+    /// over the functions `main` reaches only (unreachable functions
+    /// are not instrumented); `kissc race --stats` prints it as
+    /// `pruned=`.
     pub checks_pruned: usize,
 }
 
@@ -173,9 +186,6 @@ pub struct Transformed {
 /// Fails on reserved-name collisions and unregistrable race targets
 /// (see [`TransformError`]).
 pub fn transform(program: &Program, config: &TransformConfig) -> Result<Transformed, TransformError> {
-    let mut p = program.clone();
-    let user_funcs = p.funcs.len();
-
     // --- reserved names -------------------------------------------------
     let mut reserved: Vec<String> =
         vec!["__raise".into(), "__access".into(), "__race_addr".into(), "__access_site".into()];
@@ -184,15 +194,51 @@ pub fn transform(program: &Program, config: &TransformConfig) -> Result<Transfor
         reserved.push(format!("__ts{i}_argc"));
     }
     for name in ["__schedule", "__check_r", "__check_w", "__kiss_main"] {
-        if p.func_by_name(name).is_some() {
+        if program.func_by_name(name).is_some() {
             return Err(TransformError::NameCollision(name.into()));
         }
     }
     for name in &reserved {
-        if p.global_by_name(name).is_some() {
+        if program.global_by_name(name).is_some() {
             return Err(TransformError::NameCollision(name.clone()));
         }
     }
+
+    // An unregistrable race target fails the check wherever it is, so
+    // the instrumenter never meets one.
+    if let Some(RaceTarget::Field(sid, _)) = config.race {
+        if program.funcs.iter().any(|f| mallocs_to_non_var(&f.body, sid)) {
+            return Err(TransformError::UnsupportedMallocDest);
+        }
+    }
+
+    // --- reachable functions ----------------------------------------------
+    let reachable = reachable_funcs(program);
+    let funcs = program
+        .funcs
+        .iter()
+        .zip(&reachable)
+        .map(|(f, &live)| {
+            if live {
+                f.clone()
+            } else {
+                FuncDef {
+                    name: f.name.clone(),
+                    param_count: f.param_count,
+                    locals: f.locals[..f.param_count as usize].to_vec(),
+                    has_ret: f.has_ret,
+                    body: Stmt::skip(),
+                }
+            }
+        })
+        .collect();
+    let mut p = Program {
+        structs: program.structs.clone(),
+        globals: program.globals.clone(),
+        funcs,
+        main: program.main,
+    };
+    let user_funcs = p.funcs.len();
 
     // --- async arity inventory -------------------------------------------
     let mut arities: Vec<usize> = Vec::new();
@@ -275,7 +321,7 @@ pub fn transform(program: &Program, config: &TransformConfig) -> Result<Transfor
 
     // --- alias analysis for pruning ---------------------------------------
     let alias = match (&config.race, config.alias_prune) {
-        (Some(_), true) => Some(AliasAnalysis::run(program)),
+        (Some(_), true) => Some(AliasAnalysis::run(&p)),
         _ => None,
     };
 
@@ -294,12 +340,11 @@ pub fn transform(program: &Program, config: &TransformConfig) -> Result<Transfor
         checks_pruned: 0,
         cur_func: FuncId(0),
     };
-    for i in 0..user_funcs {
+    for (i, _) in reachable.iter().enumerate().filter(|(_, &live)| live) {
         instr.cur_func = FuncId(i as u32);
-        let body = p.funcs[i].body.clone();
+        let body = std::mem::replace(&mut p.funcs[i].body, Stmt::skip());
         let mut temps = TempAlloc { def: &mut p.funcs[i] };
-        let new_body = instr.stmt(&mut temps, &body)?;
-        p.funcs[i].body = new_body;
+        p.funcs[i].body = instr.stmt(&mut temps, &body);
     }
     let checks_emitted = instr.checks_emitted;
     let checks_pruned = instr.checks_pruned;
@@ -369,6 +414,35 @@ pub fn transform(program: &Program, config: &TransformConfig) -> Result<Transfor
         checks_emitted,
         checks_pruned,
     })
+}
+
+/// The functions `main` can run, indexed by id: `main` and every
+/// function a global initializer names, closed under the direct calls,
+/// `async` targets and function values of their bodies.
+fn reachable_funcs(program: &Program) -> Vec<bool> {
+    let mut reachable = vec![false; program.funcs.len()];
+    let mut work = vec![program.main];
+    work.extend(program.globals.iter().filter_map(|g| match g.init {
+        Some(Const::Fn(f)) => Some(f),
+        _ => None,
+    }));
+    while let Some(f) = work.pop() {
+        if !std::mem::replace(&mut reachable[f.0 as usize], true) {
+            program.func(f).body.visit_funcs(&mut |g, _| work.push(g));
+        }
+    }
+    reachable
+}
+
+/// Whether `s` stores a `malloc` of struct `sid` anywhere but a plain
+/// variable, outside `atomic` bodies (which are not instrumented).
+fn mallocs_to_non_var(s: &Stmt, sid: StructId) -> bool {
+    match &s.kind {
+        StmtKind::Assign(place, Rvalue::Malloc(m)) => *m == sid && !matches!(place, Place::Var(_)),
+        StmtKind::Seq(ss) | StmtKind::Choice(ss) => ss.iter().any(|s| mallocs_to_non_var(s, sid)),
+        StmtKind::Iter(b) => mallocs_to_non_var(b, sid),
+        _ => false,
+    }
 }
 
 fn collect_arities(s: &Stmt, out: &mut Vec<usize>) {
@@ -634,27 +708,27 @@ impl Instrumenter<'_> {
     }
 
     /// The `[[·]]` translation of one statement.
-    fn stmt(&mut self, temps: &mut TempAlloc<'_>, s: &Stmt) -> Result<Stmt, TransformError> {
-        let out = match &s.kind {
+    fn stmt(&mut self, temps: &mut TempAlloc<'_>, s: &Stmt) -> Stmt {
+        match &s.kind {
             // Synthetic skips (empty branches) carry no behaviour worth
             // a scheduling point.
             StmtKind::Skip => s.clone(),
             StmtKind::Seq(ss) => {
                 let mut v = Vec::with_capacity(ss.len());
                 for inner in ss {
-                    v.push(self.stmt(temps, inner)?);
+                    v.push(self.stmt(temps, inner));
                 }
                 Stmt { kind: StmtKind::Seq(v), span: s.span, origin: s.origin }
             }
             StmtKind::Choice(ss) => {
                 let mut v = Vec::with_capacity(ss.len());
                 for inner in ss {
-                    v.push(self.stmt(temps, inner)?);
+                    v.push(self.stmt(temps, inner));
                 }
                 Stmt { kind: StmtKind::Choice(v), span: s.span, origin: s.origin }
             }
             StmtKind::Iter(b) => {
-                let inner = self.stmt(temps, b)?;
+                let inner = self.stmt(temps, b);
                 Stmt { kind: StmtKind::Iter(Box::new(inner)), span: s.span, origin: s.origin }
             }
             StmtKind::Assign(..) | StmtKind::Assert(_) | StmtKind::Assume(_) => {
@@ -667,7 +741,7 @@ impl Instrumenter<'_> {
                 {
                     if *sid == ts {
                         let Place::Var(dest) = place else {
-                            return Err(TransformError::UnsupportedMallocDest);
+                            unreachable!("`transform` rejects a non-variable malloc of the race target");
                         };
                         v.push(self.register_race_addr(temps, *dest, ts, tf, s.span));
                     }
@@ -709,8 +783,7 @@ impl Instrumenter<'_> {
                 v.push(s.clone());
                 Stmt { kind: StmtKind::Seq(v), span: s.span, origin: s.origin }
             }
-        };
-        Ok(out)
+        }
     }
 
     /// `if (__race_addr == null) __race_addr = &dest->field;`
@@ -1076,9 +1149,66 @@ mod tests {
         let p = prog("int __raise; void main() { skip; }");
         let e = transform(&p, &TransformConfig::default()).unwrap_err();
         assert!(matches!(e, TransformError::NameCollision(_)));
+        // `main` does not reach `__schedule`: names are checked over the
+        // whole program.
         let p = prog("void __schedule() { skip; } void main() { skip; }");
         let e = transform(&p, &TransformConfig { max_ts: 1, ..Default::default() }).unwrap_err();
         assert!(matches!(e, TransformError::NameCollision(_)));
+    }
+
+    #[test]
+    fn an_unregistrable_race_target_fails_even_when_unreachable() {
+        let src = |main: &str| {
+            format!(
+                "struct D {{ int f; }}
+                 struct H {{ D *d; }}
+                 H *h;
+                 void bad() {{ h->d = malloc(D); }}
+                 void main() {{ h = malloc(H); {main} }}"
+            )
+        };
+        for main in ["bad();", "skip;"] {
+            let p = prog(&src(main));
+            let race = RaceTarget::resolve(&p, "D.f");
+            let cfg = TransformConfig { max_ts: 0, race, alias_prune: true };
+            let e = transform(&p, &cfg).unwrap_err();
+            assert_eq!(e, TransformError::UnsupportedMallocDest, "{main}");
+        }
+    }
+
+    /// Whether `s` calls `f` directly.
+    fn calls(s: &Stmt, f: FuncId) -> bool {
+        match &s.kind {
+            StmtKind::Call { target: CallTarget::Direct(g), .. } => *g == f,
+            StmtKind::Seq(ss) | StmtKind::Choice(ss) => ss.iter().any(|s| calls(s, f)),
+            StmtKind::Atomic(b) | StmtKind::Iter(b) => calls(b, f),
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn only_functions_main_reaches_are_instrumented() {
+        // `h` writes `g`; it is reached only through a global
+        // initializer, an `async` argument or a `return`.
+        for (decls, main) in [
+            ("fn gh = h;", "gh();"),
+            ("void run(fn f) { f(); }", "async run(h);"),
+            ("fn get() { return h; }", "fn f; f = get(); f();"),
+        ] {
+            let p = prog(&format!(
+                "int g;
+                 void h() {{ g = 1; }}
+                 void dead() {{ g = 2; }}
+                 {decls}
+                 void main() {{ {main} }}"
+            ));
+            let race = RaceTarget::resolve(&p, "g");
+            let t = transform(&p, &TransformConfig { max_ts: 0, race, alias_prune: true }).unwrap();
+            let body = |name: &str| &t.program.func(p.func_by_name(name).unwrap()).body;
+            assert!(calls(body("h"), t.check_w.unwrap()), "{decls} {main}: `h` not instrumented");
+            assert_eq!(body("dead"), &Stmt::skip(), "{decls} {main}: `dead` kept");
+            assert_eq!(t.program.funcs.len(), p.funcs.len() + 3, "ids are kept");
+        }
     }
 
     #[test]

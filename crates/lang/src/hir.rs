@@ -193,6 +193,39 @@ impl Stmt {
     pub fn skip() -> Self {
         Stmt::synth(StmtKind::Skip, Origin::User)
     }
+
+    /// Calls `visit` on every function the statement names, with how it
+    /// names it. A function used as a value may be the target of any
+    /// indirect call, so reachability and the alias analysis share
+    /// this one rule.
+    pub fn visit_funcs(&self, visit: &mut impl FnMut(FuncId, FnUse)) {
+        let mut value = |op: &Operand| {
+            if let Operand::Const(Const::Fn(f)) = op {
+                visit(*f, FnUse::Value);
+            }
+        };
+        match &self.kind {
+            StmtKind::Seq(ss) | StmtKind::Choice(ss) => ss.iter().for_each(|s| s.visit_funcs(visit)),
+            StmtKind::Atomic(b) | StmtKind::Iter(b) => b.visit_funcs(visit),
+            StmtKind::Assign(_, Rvalue::Operand(op)) | StmtKind::Return(Some(op)) => value(op),
+            StmtKind::Call { target, args, .. } | StmtKind::Async { target, args } => {
+                args.iter().for_each(&mut value);
+                if let CallTarget::Direct(f) = target {
+                    visit(*f, FnUse::Callee);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// How a statement names a function (see [`Stmt::visit_funcs`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FnUse {
+    /// The direct target of a call or `async`.
+    Callee,
+    /// A function constant assigned, passed as an argument or returned.
+    Value,
 }
 
 /// Statement forms of the core language.

@@ -82,7 +82,7 @@ impl<'a> Lexer<'a> {
     }
 
     fn error(&self, msg: impl Into<String>) -> LangError {
-        LangError::new(LangErrorKind::Lex, msg, Some(self.span()))
+        error_at(self.span(), msg)
     }
 
     fn run(mut self) -> Result<Vec<Token>, LangError> {
@@ -96,8 +96,8 @@ impl<'a> Lexer<'a> {
             };
             let tok = match c {
                 b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.lex_word(),
-                b'0'..=b'9' => self.lex_number()?,
-                _ => self.lex_symbol()?,
+                b'0'..=b'9' => self.lex_number(span)?,
+                _ => self.lex_symbol(span)?,
             };
             out.push(Token { tok, span });
         }
@@ -151,7 +151,9 @@ impl<'a> Lexer<'a> {
         Tok::keyword(word).unwrap_or_else(|| Tok::Ident(word.to_string()))
     }
 
-    fn lex_number(&mut self) -> Result<Tok, LangError> {
+    /// Lexes a literal starting at `start`; an out-of-range literal is
+    /// reported there, a letter glued to the digits at that letter.
+    fn lex_number(&mut self, start: Span) -> Result<Tok, LangError> {
         let digits = self.bump_ascii_while(|b| b.is_ascii_digit());
         if let Some(b) = self.peek().filter(|b| b.is_ascii_alphabetic() || *b == b'_') {
             return Err(self.error(format!("invalid digit `{}` in number", char::from(b))));
@@ -159,10 +161,11 @@ impl<'a> Lexer<'a> {
         digits
             .parse::<i64>()
             .map(Tok::Int)
-            .map_err(|_| self.error(format!("integer literal `{digits}` out of range")))
+            .map_err(|_| error_at(start, format!("integer literal `{digits}` out of range")))
     }
 
-    fn lex_symbol(&mut self) -> Result<Tok, LangError> {
+    /// Lexes a symbol starting at `start`, where its errors point.
+    fn lex_symbol(&mut self, start: Span) -> Result<Tok, LangError> {
         let c = self.bump_char().expect("caller checked peek");
         let two = |lexer: &mut Self, next: u8, yes: Tok, no: Tok| {
             if lexer.peek() == Some(next) {
@@ -187,7 +190,7 @@ impl<'a> Lexer<'a> {
                     self.bump();
                     Tok::BranchSep
                 } else {
-                    return Err(self.error("expected `]` after `[` (choice separator is `[]`)"));
+                    return Err(error_at(start, "expected `]` after `[` (choice separator is `[]`)"));
                 }
             }
             '-' => two(self, b'>', Tok::Arrow, Tok::Minus),
@@ -201,14 +204,21 @@ impl<'a> Lexer<'a> {
                     self.bump();
                     Tok::OrOr
                 } else {
-                    return Err(self.error("single `|` is not a KISS-C operator (did you mean `||`?)"));
+                    return Err(error_at(
+                        start,
+                        "single `|` is not a KISS-C operator (did you mean `||`?)",
+                    ));
                 }
             }
             other => {
-                return Err(self.error(format!("unexpected character `{other}`")));
+                return Err(error_at(start, format!("unexpected character `{other}`")));
             }
         })
     }
+}
+
+fn error_at(span: Span, msg: impl Into<String>) -> LangError {
+    LangError::new(LangErrorKind::Lex, msg, Some(span))
 }
 
 #[cfg(test)]
@@ -307,13 +317,34 @@ mod tests {
 
     #[test]
     fn a_stray_non_ascii_char_is_named_whole() {
-        // Like every symbol error, the span is the column after the char.
+        // Like every symbol error, the span is the char's own column.
         let err = lex("x é").unwrap_err();
         assert_eq!(err.message, "unexpected character `é`");
-        assert_eq!(err.span, Some(Span::new(1, 4)));
+        assert_eq!(err.span, Some(Span::new(1, 3)));
         let err = lex("1é").unwrap_err();
         assert_eq!(err.message, "unexpected character `é`");
-        assert_eq!(err.span, Some(Span::new(1, 3)));
+        assert_eq!(err.span, Some(Span::new(1, 2)));
+    }
+
+    fn error_col(src: &str) -> u32 {
+        lex(src).unwrap_err().span.expect("lex errors carry a span").col
+    }
+
+    #[test]
+    fn symbol_errors_point_at_the_offending_token() {
+        assert_eq!(error_col("g = 1 # 2;"), 7);
+        assert_eq!(error_col("a | b"), 3);
+        assert_eq!(error_col("a [ b"), 3);
+        assert_eq!(error_col("a [b"), 3);
+    }
+
+    #[test]
+    fn an_out_of_range_literal_is_reported_at_its_start() {
+        let err = lex("g = 99999999999999999999;").unwrap_err();
+        assert!(err.message.contains("out of range"), "{err}");
+        assert_eq!(err.span, Some(Span::new(1, 5)));
+        // A letter glued to the digits is reported where it stands.
+        assert_eq!(error_col("g = 12ab;"), 7);
     }
 
     #[test]

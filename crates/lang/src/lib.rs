@@ -19,9 +19,7 @@
 //! * a pretty-printer ([`pretty`]) that renders core programs back to
 //!   parseable KISS-C source, and
 //! * a programmatic builder API ([`build`]) used by the KISS
-//!   transformation and the synthetic driver corpus, and
-//! * semantics-preserving simplification and dead-function pruning
-//!   ([`opt`]).
+//!   transformation and the synthetic driver corpus.
 //!
 //! ```
 //! let src = r#"
@@ -37,7 +35,6 @@ pub mod build;
 pub mod hir;
 pub mod lexer;
 pub mod lower;
-pub mod opt;
 pub mod parser;
 pub mod pretty;
 pub mod span;
