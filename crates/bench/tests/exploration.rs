@@ -103,23 +103,26 @@ fn sample_rows(sample: &kiss_samples::Sample) -> Vec<String> {
 }
 
 /// Recorded before the step loop was shared between the engines and
-/// the second state store was deleted.
+/// the second state store was deleted. The `bfs race` verdicts were
+/// `bfs assertion` until BFS error traces carried the failing
+/// configuration's globals, from which a race report names the first
+/// access; steps, states, paths and digests did not change.
 const GOLDEN: &[&str] = &[
     "peterson explicit pass 674 111 110 -",
     "peterson bfs pass 674 219 0 -",
     "peterson summary pass 518 3 0 -",
     "peterson/flag0 explicit race 147 50 9 3:c62ad20dd469393b",
-    "peterson/flag0 bfs assertion 90 37 0 3:c62ad20dd469393b",
+    "peterson/flag0 bfs race 90 37 0 3:c62ad20dd469393b",
     "peterson/flag0 summary assertion 281 5 0 0:cbf29ce484222325",
     "peterson/G(flag0==0) ltl liveness 232 232 82+0:962b05b9cd976369",
     "peterson/FG(flag0==0) ltl pass 176 176 -",
     "peterson/flag1 explicit race 223 68 13 19:af1cf739338b00aa",
-    "peterson/flag1 bfs assertion 88 39 0 3:71da809c5a5207dd",
+    "peterson/flag1 bfs race 88 39 0 3:71da809c5a5207dd",
     "peterson/flag1 summary assertion 232 5 0 0:cbf29ce484222325",
     "peterson/G(flag1==0) ltl liveness 290 290 82+0:962b05b9cd976369",
     "peterson/FG(flag1==0) ltl pass 176 176 -",
     "peterson/turn explicit race 204 65 10 13:c0766f48c7482e01",
-    "peterson/turn bfs assertion 63 30 0 3:9970fd8f12596d50",
+    "peterson/turn bfs race 63 30 0 3:9970fd8f12596d50",
     "peterson/turn summary assertion 201 3 0 0:cbf29ce484222325",
     "peterson/G(turn==0) ltl liveness 230 230 82+0:962b05b9cd976369",
     "peterson/FG(turn==0) ltl liveness 177 177 82+0:962b05b9cd976369",
@@ -132,12 +135,12 @@ const GOLDEN: &[&str] = &[
     "peterson-broken bfs pass 674 219 0 -",
     "peterson-broken summary pass 518 3 0 -",
     "peterson-broken/flag0 explicit race 147 50 9 3:8b16506125d73570",
-    "peterson-broken/flag0 bfs assertion 90 37 0 3:8b16506125d73570",
+    "peterson-broken/flag0 bfs race 90 37 0 3:8b16506125d73570",
     "peterson-broken/flag0 summary assertion 281 5 0 0:cbf29ce484222325",
     "peterson-broken/G(flag0==0) ltl liveness 232 232 82+0:d21f8b30c48b90e5",
     "peterson-broken/FG(flag0==0) ltl pass 176 176 -",
     "peterson-broken/flag1 explicit race 223 68 13 19:e63a4fa9e9791ee7",
-    "peterson-broken/flag1 bfs assertion 93 40 0 4:6bbf2f0cdfecc185",
+    "peterson-broken/flag1 bfs race 93 40 0 4:6bbf2f0cdfecc185",
     "peterson-broken/flag1 summary assertion 232 5 0 0:cbf29ce484222325",
     "peterson-broken/G(flag1==0) ltl liveness 284 284 82+0:d21f8b30c48b90e5",
     "peterson-broken/FG(flag1==0) ltl pass 173 173 -",
@@ -173,12 +176,12 @@ const GOLDEN: &[&str] = &[
     "racy-producers bfs pass 189 49 0 -",
     "racy-producers summary pass 153 5 0 -",
     "racy-producers/total explicit race 151 31 11 4:00dc0e76cd02a805",
-    "racy-producers/total bfs assertion 129 45 0 3:6a1e61be567b464d",
+    "racy-producers/total bfs race 129 45 0 3:6a1e61be567b464d",
     "racy-producers/total summary assertion 66 3 0 0:cbf29ce484222325",
     "racy-producers/G(total==0) ltl liveness 115 115 45+0:9e56d442be1372b0",
     "racy-producers/FG(total==0) ltl liveness 81 81 45+0:9e56d442be1372b0",
     "racy-producers/done explicit race 159 32 12 6:37a4acebe83485c6",
-    "racy-producers/done bfs assertion 185 51 0 6:37a4acebe83485c6",
+    "racy-producers/done bfs race 185 51 0 6:37a4acebe83485c6",
     "racy-producers/done summary assertion 80 4 0 0:cbf29ce484222325",
     "racy-producers/G(done==0) ltl liveness 109 109 45+0:9e56d442be1372b0",
     "racy-producers/FG(done==0) ltl liveness 78 78 45+0:9e56d442be1372b0",
@@ -196,7 +199,7 @@ const GOLDEN: &[&str] = &[
     "barrier/G(arrived==0) ltl pass 83 83 -",
     "barrier/FG(arrived==0) ltl pass 62 62 -",
     "barrier/go explicit race 123 31 5 19:260418c03b7752c6",
-    "barrier/go bfs assertion 192 58 0 19:260418c03b7752c6",
+    "barrier/go bfs race 192 58 0 19:260418c03b7752c6",
     "barrier/go summary assertion 189 4 0 0:cbf29ce484222325",
     "barrier/G(go==0) ltl pass 119 119 -",
     "barrier/FG(go==0) ltl pass 80 80 -",
@@ -219,7 +222,7 @@ const GOLDEN: &[&str] = &[
     "dcl-correct/G(l==0) ltl liveness 208 208 87+0:2f8eb5a4460c52eb",
     "dcl-correct/FG(l==0) ltl pass 126 126 -",
     "dcl-correct/initialized explicit race 352 88 34 10:14970af07a47b50c",
-    "dcl-correct/initialized bfs assertion 363 124 0 10:14970af07a47b50c",
+    "dcl-correct/initialized bfs race 363 124 0 10:14970af07a47b50c",
     "dcl-correct/initialized summary assertion 260 8 0 0:cbf29ce484222325",
     "dcl-correct/G(initialized==0) ltl liveness 235 235 87+0:2f8eb5a4460c52eb",
     "dcl-correct/FG(initialized==0) ltl liveness 170 170 87+0:2f8eb5a4460c52eb",
@@ -237,7 +240,7 @@ const GOLDEN: &[&str] = &[
     "dcl-broken/G(l==0) ltl liveness 208 208 87+0:2f8eb5a4460c52eb",
     "dcl-broken/FG(l==0) ltl pass 126 126 -",
     "dcl-broken/initialized explicit race 352 88 34 9:82704ed156b64642",
-    "dcl-broken/initialized bfs assertion 333 114 0 9:82704ed156b64642",
+    "dcl-broken/initialized bfs race 333 114 0 9:82704ed156b64642",
     "dcl-broken/initialized summary assertion 260 8 0 0:cbf29ce484222325",
     "dcl-broken/G(initialized==0) ltl liveness 241 241 87+0:2f8eb5a4460c52eb",
     "dcl-broken/FG(initialized==0) ltl liveness 173 173 87+0:2f8eb5a4460c52eb",
@@ -265,7 +268,7 @@ const GOLDEN: &[&str] = &[
     "ticket-lock/G(shared==0) ltl liveness 151 151 60+0:ca8439b0a98b8b90",
     "ticket-lock/FG(shared==0) ltl liveness 108 108 60+0:ca8439b0a98b8b90",
     "ticket-lock/done1 explicit race 148 31 9 13:2ebe0aeb5d79c44e",
-    "ticket-lock/done1 bfs assertion 262 66 0 13:2ebe0aeb5d79c44e",
+    "ticket-lock/done1 bfs race 262 66 0 13:2ebe0aeb5d79c44e",
     "ticket-lock/done1 summary assertion 203 6 0 0:cbf29ce484222325",
     "ticket-lock/G(done1==0) ltl liveness 191 191 60+0:ca8439b0a98b8b90",
     "ticket-lock/FG(done1==0) ltl liveness 128 128 60+0:ca8439b0a98b8b90",
@@ -273,17 +276,17 @@ const GOLDEN: &[&str] = &[
     "dekker bfs pass 362 115 0 -",
     "dekker summary pass 286 3 0 -",
     "dekker/want0 explicit race 83 27 5 2:3ab9a55bc9a9fc14",
-    "dekker/want0 bfs assertion 78 31 0 2:3ab9a55bc9a9fc14",
+    "dekker/want0 bfs race 78 31 0 2:3ab9a55bc9a9fc14",
     "dekker/want0 summary assertion 187 5 0 0:cbf29ce484222325",
     "dekker/G(want0==0) ltl liveness 144 144 66+0:a38b917443333250",
     "dekker/FG(want0==0) ltl pass 110 110 -",
     "dekker/want1 explicit race 166 47 9 14:5d67e66752ab746d",
-    "dekker/want1 bfs assertion 70 28 0 2:74c47833cad66b74",
+    "dekker/want1 bfs race 70 28 0 2:74c47833cad66b74",
     "dekker/want1 summary assertion 175 5 0 0:cbf29ce484222325",
     "dekker/G(want1==0) ltl liveness 180 180 66+0:a38b917443333250",
     "dekker/FG(want1==0) ltl pass 110 110 -",
     "dekker/turn explicit race 150 45 7 15:6c8f377a36ec1ab2",
-    "dekker/turn bfs assertion 110 43 0 11:9e258cc787ddb3e2",
+    "dekker/turn bfs race 110 43 0 11:9e258cc787ddb3e2",
     "dekker/turn summary assertion 147 3 0 0:cbf29ce484222325",
     "dekker/G(turn==0) ltl liveness 92 92 66+0:a38b917443333250",
     "dekker/FG(turn==0) ltl liveness 86 86 66+0:a38b917443333250",

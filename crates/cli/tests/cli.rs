@@ -101,6 +101,22 @@ fn explore_reports_states_and_verdict() {
 }
 
 #[test]
+fn check_and_explore_agree_on_an_indirect_async_arity_error() {
+    let path = write_temp(
+        "async-arity",
+        "int g; void w(int a) { g = a; } void main() { fn f; f = w; async f(); }",
+    );
+    for command in ["check", "explore"] {
+        let out = kissc().arg(command).arg(&path).output().expect("run kissc");
+        assert_eq!(out.status.code(), Some(1), "{command}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("runtime error"), "{command}: {stdout}");
+        assert!(stdout.contains("with 0 argument(s), expected 1"), "{command}: {stdout}");
+    }
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn detectors_summarize_all_three() {
     let path = write_temp("detectors", RACY);
     let out = kissc()

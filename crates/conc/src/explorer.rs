@@ -15,12 +15,13 @@
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
-use kiss_exec::{eval, Env as _, ExecError, Instr, Module, Value};
+use kiss_exec::step::{self, Fault, Step};
+use kiss_exec::{ExecError, Instr, Module, TraceStep};
 use kiss_lang::hir::{FuncId, Origin};
 use kiss_lang::Span;
 
 use crate::balanced::BalanceTracker;
-use crate::config::{ConcConfig, ConcEnv, Frame, ThreadState};
+use crate::config::ConcConfig;
 
 /// Which schedules the explorer may follow.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,6 +53,12 @@ pub struct ConcTraceStep {
     pub span: Span,
     /// Provenance.
     pub origin: Origin,
+}
+
+impl ConcTraceStep {
+    fn new(tid: usize, at: TraceStep) -> Self {
+        ConcTraceStep { tid: tid as u32, func: at.func, pc: at.pc, span: at.span, origin: at.origin }
+    }
 }
 
 /// A concurrent error trace.
@@ -342,199 +349,78 @@ impl<'a> Explorer<'a> {
         out
     }
 
-    fn step_label(&self, config: &ConcConfig, tid: usize) -> ConcTraceStep {
-        let frame = config.threads[tid].frames.last().expect("caller checked");
-        let meta = self.module.body(frame.func).meta[frame.pc];
-        ConcTraceStep { tid: tid as u32, func: frame.func, pc: frame.pc, span: meta.span, origin: meta.origin }
-    }
-
     fn thread_successors(&self, node: &Node, tid: usize, sched: &SchedState, out: &mut Vec<Succ>) {
-        let Some(frame) = node.config.threads[tid].frames.last() else { return };
-        let instr = self.module.body(frame.func).instrs[frame.pc].clone();
-        let step = self.step_label(&node.config, tid);
-        let mk = |config: ConcConfig| Node { config, sched: sched.clone() };
-
+        let Some((instr, at)) = step::current(self.module, &node.config.threads[tid]) else { return };
+        let step = ConcTraceStep::new(tid, at);
+        let mut push = |outcome| out.push(Succ { step, outcome });
+        let mk = |config| Ok(Node { config, sched: sched.clone() });
         match instr {
-            Instr::Assign(place, rv) => {
-                let mut config = node.config.clone();
-                let mut env = ConcEnv { module: self.module, config: &mut config, tid };
-                match eval::exec_assign(&mut env, &place, &rv) {
-                    Ok(()) => {
-                        self.advance(&mut config, tid, 1);
-                        out.push(Succ { step, outcome: Ok(mk(config)) });
-                    }
-                    Err(e) => out.push(Succ { step, outcome: Err(Failure::Runtime(e)) }),
-                }
-            }
-            Instr::Assert(cond) => {
-                let mut probe = node.config.clone();
-                let env = ConcEnv { module: self.module, config: &mut probe, tid };
-                match eval::eval_cond(&env, &cond) {
-                    Ok(true) => {
-                        let mut config = node.config.clone();
-                        self.advance(&mut config, tid, 1);
-                        out.push(Succ { step, outcome: Ok(mk(config)) });
-                    }
-                    Ok(false) => out.push(Succ { step, outcome: Err(Failure::Assert) }),
-                    Err(e) => out.push(Succ { step, outcome: Err(Failure::Runtime(e)) }),
-                }
-            }
-            Instr::Assume(cond) => {
-                let mut probe = node.config.clone();
-                let env = ConcEnv { module: self.module, config: &mut probe, tid };
-                match eval::eval_cond(&env, &cond) {
-                    Ok(true) => {
-                        let mut config = node.config.clone();
-                        self.advance(&mut config, tid, 1);
-                        out.push(Succ { step, outcome: Ok(mk(config)) });
-                    }
-                    Ok(false) => {} // blocked: no transition now
-                    Err(e) => out.push(Succ { step, outcome: Err(Failure::Runtime(e)) }),
-                }
-            }
-            Instr::Call { dest, target, args } => {
-                let mut config = node.config.clone();
-                let resolved = {
-                    let env = ConcEnv { module: self.module, config: &mut config, tid };
-                    crate::resolve_target_conc(&env, target)
-                };
-                match resolved {
-                    Ok(callee) => {
-                        let def = self.module.program.func(callee);
-                        if def.param_count as usize != args.len() {
-                            out.push(Succ {
-                                step,
-                                outcome: Err(Failure::Runtime(ExecError::ArityMismatch {
-                                    func: callee,
-                                    expected: def.param_count,
-                                    got: args.len() as u32,
-                                })),
-                            });
-                            return;
-                        }
-                        let arg_vals: Vec<Value> = {
-                            let env = ConcEnv { module: self.module, config: &mut config, tid };
-                            args.iter().map(|a| eval::eval_operand(&env, a)).collect()
-                        };
-                        config.threads[tid].frames.last_mut().expect("nonempty").pc += 1;
-                        config.threads[tid].frames.push(Frame::enter(self.module, callee, &arg_vals, dest));
-                        self.fast_forward(&mut config, tid);
-                        out.push(Succ { step, outcome: Ok(mk(config)) });
-                    }
-                    Err(e) => out.push(Succ { step, outcome: Err(Failure::Runtime(e)) }),
-                }
-            }
-            Instr::Async { target, args } => {
-                let mut config = node.config.clone();
-                if config.threads.len() >= self.max_threads {
-                    out.push(Succ { step, outcome: Err(Failure::Limit) });
-                    return;
-                }
-                let resolved = {
-                    let env = ConcEnv { module: self.module, config: &mut config, tid };
-                    crate::resolve_target_conc(&env, target)
-                };
-                match resolved {
-                    Ok(callee) => {
-                        let arg_vals: Vec<Value> = {
-                            let env = ConcEnv { module: self.module, config: &mut config, tid };
-                            args.iter().map(|a| eval::eval_operand(&env, a)).collect()
-                        };
-                        config.threads[tid].frames.last_mut().expect("nonempty").pc += 1;
-                        let new_tid = config.threads.len();
-                        config.threads.push(ThreadState {
-                            frames: vec![Frame::enter(self.module, callee, &arg_vals, None)],
-                        });
-                        self.fast_forward(&mut config, tid);
-                        self.fast_forward(&mut config, new_tid);
-                        out.push(Succ { step, outcome: Ok(mk(config)) });
-                    }
-                    Err(e) => out.push(Succ { step, outcome: Err(Failure::Runtime(e)) }),
-                }
-            }
-            Instr::Return(op) => {
-                let mut config = node.config.clone();
-                let ret = {
-                    let env = ConcEnv { module: self.module, config: &mut config, tid };
-                    op.map(|o| eval::eval_operand(&env, &o)).unwrap_or(Value::Null)
-                };
-                let finished = config.threads[tid].frames.pop().expect("nonempty");
-                if let (Some(dest), false) = (finished.dest, config.threads[tid].frames.is_empty()) {
-                    let mut env = ConcEnv { module: self.module, config: &mut config, tid };
-                    match eval::place_addr(&env, &dest).and_then(|a| env.write_addr(a, ret)) {
-                        Ok(()) => {}
-                        Err(e) => {
-                            out.push(Succ { step, outcome: Err(Failure::Runtime(e)) });
-                            return;
-                        }
-                    }
-                }
-                if !config.threads[tid].frames.is_empty() {
-                    self.fast_forward(&mut config, tid);
-                }
-                out.push(Succ { step, outcome: Ok(mk(config)) });
-            }
-            Instr::Jump(target) => {
-                // Normally consumed by fast_forward; handle anyway.
-                let mut config = node.config.clone();
-                config.threads[tid].frames.last_mut().expect("nonempty").pc = target;
-                self.fast_forward(&mut config, tid);
-                out.push(Succ { step, outcome: Ok(mk(config)) });
-            }
-            Instr::NondetJump(targets) => {
-                for &t in &targets {
-                    // Peek: skip branches that begin with a presently
-                    // false assume. Sound: committing then waiting is
-                    // equivalent to waiting then committing.
-                    let body = self.module.body(frame.func);
-                    if let Instr::Assume(cond) = &body.instrs[t] {
-                        let mut probe = node.config.clone();
-                        let env = ConcEnv { module: self.module, config: &mut probe, tid };
-                        if matches!(eval::eval_cond(&env, cond), Ok(false)) {
-                            continue;
-                        }
-                    }
-                    let mut config = node.config.clone();
-                    config.threads[tid].frames.last_mut().expect("nonempty").pc = t;
-                    self.fast_forward(&mut config, tid);
-                    out.push(Succ { step, outcome: Ok(mk(config)) });
-                }
-            }
+            // A whole atomic block is one transition.
             Instr::AtomicBegin => {
                 match self.atomic_outcomes(&node.config, tid) {
-                    Ok(configs) => {
-                        for config in configs {
-                            out.push(Succ { step, outcome: Ok(mk(config)) });
-                        }
+                    Ok(configs) => configs.into_iter().for_each(|config| push(mk(config))),
+                    Err(f) => push(Err(f)),
+                }
+                return;
+            }
+            Instr::Async { .. } if node.config.threads.len() >= self.max_threads => {
+                return push(Err(Failure::Limit));
+            }
+            _ => {}
+        }
+        let mut config = node.config.clone();
+        match step::step(&mut config.thread(self.module, tid), instr) {
+            Ok(Step::Continue | Step::Finished) => {
+                self.fast_forward(&mut config, tid);
+                push(mk(config));
+            }
+            Ok(Step::Pruned) => {} // blocked: no transition now
+            Ok(Step::Spawn(frame)) => {
+                let child = config.threads.len();
+                config.threads.push(vec![frame]);
+                self.fast_forward(&mut config, tid);
+                self.fast_forward(&mut config, child);
+                push(mk(config));
+            }
+            Ok(Step::Branch(targets)) => {
+                let Some((&last, rest)) = targets.split_last() else { return };
+                for &t in rest {
+                    if let Some(c) = self.enter_branch(config.clone(), tid, t) {
+                        push(mk(c));
                     }
-                    Err(f) => out.push(Succ { step, outcome: Err(f) }),
+                }
+                if let Some(c) = self.enter_branch(config, tid, last) {
+                    push(mk(c));
                 }
             }
-            Instr::AtomicEnd => {
-                // Unreachable outside atomic_outcomes, but harmless.
-                let mut config = node.config.clone();
-                self.advance(&mut config, tid, 1);
-                out.push(Succ { step, outcome: Ok(mk(config)) });
-            }
+            Err(Fault::Assert) => push(Err(Failure::Assert)),
+            Err(Fault::Exec(e)) => push(Err(Failure::Runtime(e))),
         }
     }
 
-    /// Advances a thread's pc and slides over silent jumps.
-    fn advance(&self, config: &mut ConcConfig, tid: usize, by: usize) {
-        config.threads[tid].frames.last_mut().expect("nonempty").pc += by;
-        self.fast_forward(config, tid);
+    /// Moves the thread onto branch `target`, or `None` when the branch
+    /// begins with a presently false assume. Skipping it is sound:
+    /// committing then waiting is equivalent to waiting then committing.
+    fn enter_branch(&self, mut config: ConcConfig, tid: usize, target: usize) -> Option<ConcConfig> {
+        config.threads[tid].last_mut().expect("nonempty").pc = target;
+        if let Some((assume @ Instr::Assume(_), _)) = step::current(self.module, &config.threads[tid]) {
+            if let Ok(Step::Pruned) = step::step(&mut config.thread(self.module, tid), assume) {
+                return None;
+            }
+            // Only peeked: the assume stays the thread's next transition.
+            config.threads[tid].last_mut().expect("nonempty").pc = target;
+        }
+        self.fast_forward(&mut config, tid);
+        Some(config)
     }
 
     /// Slides the thread over unconditional jumps (silent, thread-local,
     /// deterministic — collapsing them shrinks the state space without
     /// changing reachability).
     fn fast_forward(&self, config: &mut ConcConfig, tid: usize) {
-        loop {
-            let Some(frame) = config.threads[tid].frames.last() else { return };
-            match self.module.body(frame.func).instrs[frame.pc] {
-                Instr::Jump(t) => config.threads[tid].frames.last_mut().expect("nonempty").pc = t,
-                _ => return,
-            }
+        while let Some((jump @ Instr::Jump(_), _)) = step::current(self.module, &config.threads[tid]) {
+            let jumped = step::step(&mut config.thread(self.module, tid), jump);
+            debug_assert_eq!(jumped, Ok(Step::Continue));
         }
     }
 
@@ -546,61 +432,41 @@ impl<'a> Explorer<'a> {
         let mut done = Vec::new();
         let mut steps: u64 = 0;
         let mut start = config.clone();
-        start.threads[tid].frames.last_mut().expect("nonempty").pc += 1; // past AtomicBegin
+        start.threads[tid].last_mut().expect("nonempty").pc += 1; // past AtomicBegin
         let mut pending = vec![start];
         while let Some(mut cur) = pending.pop() {
-            'path: loop {
+            loop {
                 steps += 1;
                 if steps > self.max_atomic_steps {
                     return Err(Failure::Limit);
                 }
-                let frame = cur.threads[tid].frames.last().expect("nonempty");
-                let instr = self.module.body(frame.func).instrs[frame.pc].clone();
-                match instr {
-                    Instr::AtomicEnd => {
-                        cur.threads[tid].frames.last_mut().expect("nonempty").pc += 1;
+                let (instr, _) =
+                    step::current(self.module, &cur.threads[tid]).expect("a thread in a block has a frame");
+                let end = matches!(instr, Instr::AtomicEnd);
+                match step::step(&mut cur.thread(self.module, tid), instr) {
+                    Ok(Step::Continue) if end => {
                         self.fast_forward(&mut cur, tid);
                         done.push(cur);
-                        break 'path;
+                        break;
                     }
-                    Instr::Assign(place, rv) => {
-                        let mut env = ConcEnv { module: self.module, config: &mut cur, tid };
-                        eval::exec_assign(&mut env, &place, &rv).map_err(Failure::Runtime)?;
-                        cur.threads[tid].frames.last_mut().expect("nonempty").pc += 1;
-                    }
-                    Instr::Assert(cond) => {
-                        let env = ConcEnv { module: self.module, config: &mut cur, tid };
-                        match eval::eval_cond(&env, &cond).map_err(Failure::Runtime)? {
-                            true => cur.threads[tid].frames.last_mut().expect("nonempty").pc += 1,
-                            false => return Err(Failure::Assert),
-                        }
-                    }
-                    Instr::Assume(cond) => {
-                        let env = ConcEnv { module: self.module, config: &mut cur, tid };
-                        match eval::eval_cond(&env, &cond).map_err(Failure::Runtime)? {
-                            true => cur.threads[tid].frames.last_mut().expect("nonempty").pc += 1,
-                            false => break 'path, // this path retries later
-                        }
-                    }
-                    Instr::Jump(t) => {
-                        cur.threads[tid].frames.last_mut().expect("nonempty").pc = t;
-                    }
-                    Instr::NondetJump(targets) => {
-                        if targets.is_empty() {
-                            break 'path;
-                        }
-                        for &alt in targets.iter().skip(1) {
+                    Ok(Step::Continue) => {}
+                    Ok(Step::Branch(targets)) => {
+                        let Some((&first, rest)) = targets.split_first() else { break };
+                        for &alt in rest {
                             let mut c = cur.clone();
-                            c.threads[tid].frames.last_mut().expect("nonempty").pc = alt;
+                            c.threads[tid].last_mut().expect("nonempty").pc = alt;
                             pending.push(c);
                         }
-                        cur.threads[tid].frames.last_mut().expect("nonempty").pc = targets[0];
+                        cur.threads[tid].last_mut().expect("nonempty").pc = first;
                     }
-                    // Well-formedness forbids the rest inside atomic.
-                    other => {
-                        let _ = other;
-                        return Err(Failure::Runtime(ExecError::AsyncInSequential));
+                    Ok(Step::Pruned) => break, // this path retries later
+                    // Well-formedness keeps `return` and `async` out of
+                    // atomic blocks.
+                    Ok(Step::Finished | Step::Spawn(_)) => {
+                        return Err(Failure::Runtime(ExecError::AsyncInSequential))
                     }
+                    Err(Fault::Assert) => return Err(Failure::Assert),
+                    Err(Fault::Exec(e)) => return Err(Failure::Runtime(e)),
                 }
             }
         }

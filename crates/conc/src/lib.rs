@@ -16,6 +16,14 @@
 //!   stack-discipline automaton (proven equivalent by property tests).
 //! * [`dynamic`] — a random-schedule dynamic checker, the comparison
 //!   point for the paper's related-work discussion of dynamic tools.
+//! * [`runner`] — one random execution emitting an event stream, the
+//!   shared machinery of the [`lockset`] and [`vclock`] race detectors.
+//!
+//! The explorer and the runner execute every instruction through
+//! kiss-exec's [`kiss_exec::step::step`], the same semantics the
+//! sequential engines use; they keep only schedule policy — which
+//! thread acts, how a blocked `assume` or an `async` is handled, and
+//! how an `atomic` block runs without interleaving.
 
 pub mod balanced;
 pub mod config;
@@ -26,23 +34,9 @@ pub mod runner;
 pub mod vclock;
 
 pub use balanced::{is_balanced, BalanceTracker};
-pub use config::{ConcConfig, ThreadState};
+pub use config::ConcConfig;
 pub use dynamic::{DynamicChecker, DynamicOutcome};
 pub use explorer::{ConcStats, ConcTraceStep, ConcVerdict, Explorer, ScheduleMode};
 pub use lockset::{lockset_check, LocksetReport, LocksetWarning};
 pub use runner::{Event, RunEnd, Runner};
 pub use vclock::{hb_check, HbRace, HbReport};
-
-use kiss_exec::{Env, ExecError, Value};
-use kiss_lang::hir::{CallTarget, FuncId};
-
-/// Resolves a call target to a function id in a concurrent context.
-pub(crate) fn resolve_target_conc(env: &impl Env, target: CallTarget) -> Result<FuncId, ExecError> {
-    match target {
-        CallTarget::Direct(f) => Ok(f),
-        CallTarget::Indirect(v) => match env.read_var(v) {
-            Value::Fn(f) => Ok(f),
-            other => Err(ExecError::NotAFunction { found: other.type_name() }),
-        },
-    }
-}

@@ -16,11 +16,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
-use kiss_exec::{eval, Addr, Env, ExecError, Instr, Module, Value};
+use kiss_exec::step::{self, Fault, Step};
+use kiss_exec::{eval, Addr, ExecError, Instr, Module, ThreadEnv};
 use kiss_lang::hir::{Const, FuncId, Operand, Place, Rvalue};
 use kiss_lang::Span;
 
-use crate::config::{ConcConfig, ConcEnv, Frame, ThreadState};
+use crate::config::ConcConfig;
 
 /// An observable event of one execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,9 +167,10 @@ fn reads(p: &Place, read_places: &[Place]) -> bool {
     read_places.contains(p)
 }
 
-/// The shared-cell accesses an instruction performs (locals excluded),
-/// resolved against the current state.
-fn shared_accesses(env: &ConcEnv<'_>, instr: &Instr) -> Vec<(Addr, bool)> {
+/// The shared-cell accesses an assignment or an `assert` performs
+/// (locals excluded), resolved against the current state. The runner
+/// reports no other instruction's accesses.
+fn shared_accesses(env: &ThreadEnv<'_>, instr: &Instr) -> Vec<(Addr, bool)> {
     let mut out = Vec::new();
     let place_addr = |place: &Place, is_write: bool, out: &mut Vec<(Addr, bool)>| {
         match place {
@@ -202,17 +204,11 @@ fn shared_accesses(env: &ConcEnv<'_>, instr: &Instr) -> Vec<(Addr, bool)> {
             }
             place_addr(place, true, &mut out);
         }
-        Instr::Assert(c) | Instr::Assume(c) => {
+        Instr::Assert(c) => {
             if let kiss_lang::hir::VarRef::Global(g) = c.var {
                 out.push((Addr::Global(g), false));
             }
         }
-        Instr::Call { args, .. } | Instr::Async { args, .. } => {
-            for a in args {
-                read_operand(a, &mut out);
-            }
-        }
-        Instr::Return(Some(op)) => read_operand(op, &mut out),
         _ => {}
     }
     out
@@ -264,30 +260,23 @@ impl<'a> Runner<'a> {
         }
     }
 
-    fn frame_instr<'b>(&'b self, config: &ConcConfig, tid: usize) -> Option<(&'b Instr, Span, FuncId, usize)> {
-        let frame = config.threads[tid].frames.last()?;
-        let body = self.module.body(frame.func);
-        Some((&body.instrs[frame.pc], body.meta[frame.pc].span, frame.func, frame.pc))
-    }
-
     /// Can the thread take a step right now?
     fn enabled(&self, config: &ConcConfig, tid: usize) -> bool {
-        let mut probe = config.clone();
-        let Some((instr, ..)) = self.frame_instr(config, tid) else { return false };
+        let Some((instr, _)) = step::current(self.module, &config.threads[tid]) else { return false };
         match instr {
-            Instr::Assume(c) => {
-                let env = ConcEnv { module: self.module, config: &mut probe, tid };
-                matches!(eval::eval_cond(&env, c), Ok(true) | Err(_))
+            Instr::Assume(_) => {
+                let mut probe = config.clone();
+                !matches!(step::step(&mut probe.thread(self.module, tid), instr), Ok(Step::Pruned))
             }
             Instr::AtomicBegin => {
                 // Enabled iff at least one path through the region
-                // completes; probe with a fixed choice policy (first
-                // branch) is insufficient, so try a handful of random
-                // probes.
+                // completes or fails; probe with a fixed choice policy
+                // (first branch) is insufficient, so try a handful of
+                // random probes.
                 let mut rng = StdRng::seed_from_u64(0xFACE);
                 (0..4).any(|_| {
                     let mut c = config.clone();
-                    self.run_atomic(&mut c, tid, &mut rng).is_some()
+                    !matches!(self.run_atomic(&mut c, tid, &mut rng), Region::Blocked)
                 })
             }
             Instr::Async { .. } => config.threads.len() < self.max_threads,
@@ -302,212 +291,115 @@ impl<'a> Runner<'a> {
         rng: &mut StdRng,
         on_event: &mut impl FnMut(Event),
     ) -> StepResult {
-        let (instr, span, func, pc) = {
-            let Some((i, s, f, p)) = self.frame_instr(config, tid) else {
-                return StepResult::Ok;
+        let Some((instr, at)) = step::current(self.module, &config.threads[tid]) else {
+            return StepResult::Ok;
+        };
+        let (tid32, span) = (tid as u32, at.span);
+        if matches!(instr, Instr::AtomicBegin) {
+            let mut attempt = config.clone();
+            let accesses = match self.run_atomic(&mut attempt, tid, rng) {
+                Region::Done(accesses) => accesses,
+                // Blocked (e.g. lock held): no state change.
+                Region::Blocked => return StepResult::Ok,
+                Region::AssertFailed(span) => {
+                    on_event(Event::AssertFail { tid: tid32, span });
+                    return StepResult::Ended(RunEnd::AssertFailed);
+                }
             };
-            (i.clone(), s, f, p)
-        };
-        let bump = |config: &mut ConcConfig, by: usize| {
-            config.threads[tid].frames.last_mut().expect("nonempty").pc += by;
-        };
-        match instr {
-            Instr::Assign(place, rv) => {
-                {
-                    let env = ConcEnv { module: self.module, config, tid };
-                    for (addr, is_write) in shared_accesses(&env, &Instr::Assign(place, rv)) {
-                        on_event(Event::Access { tid: tid as u32, addr, is_write, span });
+            *config = attempt;
+            // A lock's cell is the one the region wrote.
+            let written = accesses.iter().find(|(_, w)| *w).map(|(addr, _)| *addr);
+            match self.atomics.get(&(at.func, at.pc)).copied().unwrap_or(AtomicKind::Other) {
+                AtomicKind::Acquire(_) => {
+                    if let Some(addr) = written {
+                        on_event(Event::Acquire { tid: tid32, addr });
                     }
                 }
-                let mut env = ConcEnv { module: self.module, config, tid };
-                if let Err(e) = eval::exec_assign(&mut env, &place, &rv) {
-                    return StepResult::Ended(RunEnd::RuntimeError(e));
-                }
-                bump(config, 1);
-            }
-            Instr::Assert(c) => {
-                {
-                    let env = ConcEnv { module: self.module, config, tid };
-                    for (addr, is_write) in shared_accesses(&env, &Instr::Assert(c)) {
-                        on_event(Event::Access { tid: tid as u32, addr, is_write, span });
+                AtomicKind::Release(_) => {
+                    if let Some(addr) = written {
+                        on_event(Event::Release { tid: tid32, addr });
                     }
                 }
-                let env = ConcEnv { module: self.module, config, tid };
-                match eval::eval_cond(&env, &c) {
-                    Ok(true) => bump(config, 1),
-                    Ok(false) => {
-                        on_event(Event::AssertFail { tid: tid as u32, span });
-                        return StepResult::Ended(RunEnd::AssertFailed);
+                AtomicKind::Other => {
+                    for (addr, is_write) in accesses {
+                        on_event(Event::Access { tid: tid32, addr, is_write, span });
                     }
-                    Err(e) => return StepResult::Ended(RunEnd::RuntimeError(e)),
                 }
             }
-            Instr::Assume(c) => {
-                let env = ConcEnv { module: self.module, config, tid };
-                match eval::eval_cond(&env, &c) {
-                    Ok(true) => bump(config, 1),
-                    Ok(false) => {} // re-checked when scheduled again
-                    Err(e) => return StepResult::Ended(RunEnd::RuntimeError(e)),
-                }
-            }
-            Instr::Call { dest, target, args } => {
-                let callee = {
-                    let env = ConcEnv { module: self.module, config, tid };
-                    match crate::resolve_target_conc(&env, target) {
-                        Ok(f) => f,
-                        Err(e) => return StepResult::Ended(RunEnd::RuntimeError(e)),
-                    }
-                };
-                let arg_vals: Vec<Value> = {
-                    let env = ConcEnv { module: self.module, config, tid };
-                    args.iter().map(|a| eval::eval_operand(&env, a)).collect()
-                };
-                bump(config, 1);
-                config.threads[tid].frames.push(Frame::enter(self.module, callee, &arg_vals, dest));
-            }
-            Instr::Async { target, args } => {
-                let callee = {
-                    let env = ConcEnv { module: self.module, config, tid };
-                    match crate::resolve_target_conc(&env, target) {
-                        Ok(f) => f,
-                        Err(e) => return StepResult::Ended(RunEnd::RuntimeError(e)),
-                    }
-                };
-                let arg_vals: Vec<Value> = {
-                    let env = ConcEnv { module: self.module, config, tid };
-                    args.iter().map(|a| eval::eval_operand(&env, a)).collect()
-                };
-                bump(config, 1);
+            return StepResult::Ok;
+        }
+        let mut thread = config.thread(self.module, tid);
+        for (addr, is_write) in shared_accesses(&thread, instr) {
+            on_event(Event::Access { tid: tid32, addr, is_write, span });
+        }
+        match step::step(&mut thread, instr) {
+            // A false assume is re-checked when scheduled again.
+            Ok(Step::Continue | Step::Pruned) => {}
+            Ok(Step::Finished) => on_event(Event::Finish { tid: tid32 }),
+            Ok(Step::Spawn(frame)) => {
                 let child = config.threads.len() as u32;
-                config.threads.push(ThreadState {
-                    frames: vec![Frame::enter(self.module, callee, &arg_vals, None)],
-                });
-                on_event(Event::Fork { parent: tid as u32, child });
+                config.threads.push(vec![frame]);
+                on_event(Event::Fork { parent: tid32, child });
             }
-            Instr::Return(op) => {
-                let ret = {
-                    let env = ConcEnv { module: self.module, config, tid };
-                    op.map(|o| eval::eval_operand(&env, &o)).unwrap_or(Value::Null)
-                };
-                let finished = config.threads[tid].frames.pop().expect("nonempty");
-                if config.threads[tid].frames.is_empty() {
-                    on_event(Event::Finish { tid: tid as u32 });
-                } else if let Some(dest) = finished.dest {
-                    let mut env = ConcEnv { module: self.module, config, tid };
-                    match eval::place_addr(&env, &dest).and_then(|a| env.write_addr(a, ret)) {
-                        Ok(()) => {}
-                        Err(e) => return StepResult::Ended(RunEnd::RuntimeError(e)),
-                    }
-                }
+            Ok(Step::Branch([])) => {
+                // Dead end; park the thread by popping it.
+                config.threads[tid].clear();
+                on_event(Event::Finish { tid: tid32 });
             }
-            Instr::Jump(t) => {
-                config.threads[tid].frames.last_mut().expect("nonempty").pc = t;
+            Ok(Step::Branch(targets)) => {
+                let t = targets[rng.gen_range(0..targets.len())];
+                config.threads[tid].last_mut().expect("nonempty").pc = t;
             }
-            Instr::NondetJump(targets) => {
-                if targets.is_empty() {
-                    // Dead end; park the thread by popping it.
-                    config.threads[tid].frames.clear();
-                    on_event(Event::Finish { tid: tid as u32 });
-                } else {
-                    let t = targets[rng.gen_range(0..targets.len())];
-                    config.threads[tid].frames.last_mut().expect("nonempty").pc = t;
-                }
+            Err(Fault::Assert) => {
+                on_event(Event::AssertFail { tid: tid32, span });
+                return StepResult::Ended(RunEnd::AssertFailed);
             }
-            Instr::AtomicBegin => {
-                let kind = self.atomics.get(&(func, pc)).copied().unwrap_or(AtomicKind::Other);
-                let mut attempt = config.clone();
-                let Some(accesses) = self.run_atomic(&mut attempt, tid, rng) else {
-                    // Blocked (e.g. lock held): no state change.
-                    return StepResult::Ok;
-                };
-                *config = attempt;
-                match kind {
-                    AtomicKind::Acquire(_) => {
-                        // Resolve the lock cell from the recorded
-                        // accesses: the written cell.
-                        if let Some((addr, _)) = accesses.iter().find(|(_, w)| *w) {
-                            on_event(Event::Acquire { tid: tid as u32, addr: *addr });
-                        }
-                    }
-                    AtomicKind::Release(_) => {
-                        if let Some((addr, _)) = accesses.iter().find(|(_, w)| *w) {
-                            on_event(Event::Release { tid: tid as u32, addr: *addr });
-                        }
-                    }
-                    AtomicKind::Other => {
-                        for (addr, is_write) in accesses {
-                            on_event(Event::Access { tid: tid as u32, addr, is_write, span });
-                        }
-                    }
-                }
-            }
-            Instr::AtomicEnd => bump(config, 1),
+            Err(Fault::Exec(e)) => return StepResult::Ended(RunEnd::RuntimeError(e)),
         }
         StepResult::Ok
     }
 
-    /// Executes a whole atomic region with random inner choices;
-    /// returns the shared accesses performed, or `None` if the region
-    /// blocked (caller must discard the attempt).
-    fn run_atomic(
-        &self,
-        config: &mut ConcConfig,
-        tid: usize,
-        rng: &mut StdRng,
-    ) -> Option<Vec<(Addr, bool)>> {
+    /// Executes a whole atomic region with random inner choices.
+    fn run_atomic(&self, config: &mut ConcConfig, tid: usize, rng: &mut StdRng) -> Region {
         let mut accesses = Vec::new();
         // Step past AtomicBegin.
-        config.threads[tid].frames.last_mut().expect("nonempty").pc += 1;
+        config.threads[tid].last_mut().expect("nonempty").pc += 1;
         for _ in 0..10_000 {
-            let (instr, ..) = self.frame_instr(config, tid)?;
-            let instr = instr.clone();
-            match instr {
-                Instr::AtomicEnd => {
-                    config.threads[tid].frames.last_mut().expect("nonempty").pc += 1;
-                    return Some(accesses);
-                }
-                Instr::Assign(place, rv) => {
-                    {
-                        let env = ConcEnv { module: self.module, config, tid };
-                        accesses.extend(shared_accesses(&env, &Instr::Assign(place, rv)));
-                    }
-                    let mut env = ConcEnv { module: self.module, config, tid };
-                    eval::exec_assign(&mut env, &place, &rv).ok()?;
-                    config.threads[tid].frames.last_mut().expect("nonempty").pc += 1;
-                }
-                Instr::Assume(c) => {
-                    let env = ConcEnv { module: self.module, config, tid };
-                    match eval::eval_cond(&env, &c) {
-                        Ok(true) => {
-                            config.threads[tid].frames.last_mut().expect("nonempty").pc += 1
-                        }
-                        _ => return None,
-                    }
-                }
-                Instr::Assert(c) => {
-                    let env = ConcEnv { module: self.module, config, tid };
-                    match eval::eval_cond(&env, &c) {
-                        Ok(true) => {
-                            config.threads[tid].frames.last_mut().expect("nonempty").pc += 1
-                        }
-                        _ => return None,
-                    }
-                }
-                Instr::Jump(t) => {
-                    config.threads[tid].frames.last_mut().expect("nonempty").pc = t;
-                }
-                Instr::NondetJump(targets) => {
-                    if targets.is_empty() {
-                        return None;
-                    }
+            let Some((instr, at)) = step::current(self.module, &config.threads[tid]) else {
+                return Region::Blocked;
+            };
+            let end = matches!(instr, Instr::AtomicEnd);
+            let mut thread = config.thread(self.module, tid);
+            // Inside a region only assignments report their accesses.
+            if matches!(instr, Instr::Assign(..)) {
+                accesses.extend(shared_accesses(&thread, instr));
+            }
+            match step::step(&mut thread, instr) {
+                Ok(Step::Continue) if end => return Region::Done(accesses),
+                Ok(Step::Continue) => {}
+                Ok(Step::Branch(targets)) if !targets.is_empty() => {
                     let t = targets[rng.gen_range(0..targets.len())];
-                    config.threads[tid].frames.last_mut().expect("nonempty").pc = t;
+                    config.threads[tid].last_mut().expect("nonempty").pc = t;
                 }
-                _ => return None, // calls/returns forbidden by wf
+                Err(Fault::Assert) => return Region::AssertFailed(at.span),
+                // A false assume, a dead end or a runtime error blocks
+                // the region; well-formedness keeps calls, `return` and
+                // `async` out of it.
+                _ => return Region::Blocked,
             }
         }
-        None
+        Region::Blocked
     }
+}
+
+/// How one attempt at an atomic region ended.
+enum Region {
+    /// It reached its end, performing these shared accesses.
+    Done(Vec<(Addr, bool)>),
+    /// It could not complete now; the caller discards the attempt.
+    Blocked,
+    /// The `assert` at this span failed.
+    AssertFailed(Span),
 }
 
 enum StepResult {
@@ -599,6 +491,17 @@ mod tests {
         });
         assert_eq!(end, RunEnd::AssertFailed);
         assert!(failed);
+    }
+
+    #[test]
+    fn a_failed_assert_inside_atomic_fails_the_run() {
+        let m = module("int g; void main() { atomic { assert g == 1; } }");
+        for seed in 0..20 {
+            let mut failed = false;
+            let end = Runner::new(&m).run(seed, |e| failed |= matches!(e, Event::AssertFail { .. }));
+            assert_eq!(end, RunEnd::AssertFailed, "seed {seed}");
+            assert!(failed, "seed {seed}");
+        }
     }
 
     #[test]

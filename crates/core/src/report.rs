@@ -55,7 +55,7 @@ pub fn render_trace(program: &Program, mapped: &MappedTrace) -> String {
 pub fn render_liveness(program: &Program, report: &LivenessReport) -> String {
     let index = statement_index(program);
     let mut out = String::new();
-    let mut section = |title: &str, steps: &[kiss_seq::TraceStep]| {
+    let mut section = |title: &str, steps: &[kiss_exec::TraceStep]| {
         out.push_str(title);
         out.push('\n');
         let mut last: Option<Span> = None;

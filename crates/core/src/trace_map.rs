@@ -20,10 +20,10 @@
 
 use std::collections::HashMap;
 
-use kiss_exec::{Instr, Module};
+use kiss_exec::{Instr, Module, TraceStep};
 use kiss_lang::hir::{Const, GlobalId, Operand, Origin, Place, Rvalue, VarRef};
 use kiss_lang::Span;
-use kiss_seq::{ErrorTrace, TraceStep};
+use kiss_seq::ErrorTrace;
 
 use crate::transform::Transformed;
 

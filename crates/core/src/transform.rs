@@ -226,7 +226,7 @@ pub fn transform(program: &Program, config: &TransformConfig) -> Result<Transfor
                     name: f.name.clone(),
                     param_count: f.param_count,
                     locals: f.locals[..f.param_count as usize].to_vec(),
-                    has_ret: f.has_ret,
+                    ret: f.ret.clone(),
                     body: Stmt::skip(),
                 }
             }
@@ -367,7 +367,7 @@ pub fn transform(program: &Program, config: &TransformConfig) -> Result<Transfor
 
     // --- Check(s) entry point -------------------------------------------------
     let orig_main = p.main;
-    let mut b = FnBuilder::new("__kiss_main", &[], false);
+    let mut b = FnBuilder::new("__kiss_main", &[]);
     b.origin(Origin::Harness);
     b.set(build::g(raise), build::boolean(false));
     for slot in &ts_slots {
@@ -435,12 +435,12 @@ fn reachable_funcs(program: &Program) -> Vec<bool> {
 }
 
 /// Whether `s` stores a `malloc` of struct `sid` anywhere but a plain
-/// variable, outside `atomic` bodies (which are not instrumented).
+/// variable, `atomic` bodies included.
 fn mallocs_to_non_var(s: &Stmt, sid: StructId) -> bool {
     match &s.kind {
         StmtKind::Assign(place, Rvalue::Malloc(m)) => *m == sid && !matches!(place, Place::Var(_)),
         StmtKind::Seq(ss) | StmtKind::Choice(ss) => ss.iter().any(|s| mallocs_to_non_var(s, sid)),
-        StmtKind::Iter(b) => mallocs_to_non_var(b, sid),
+        StmtKind::Atomic(b) | StmtKind::Iter(b) => mallocs_to_non_var(b, sid),
         _ => false,
     }
 }
@@ -734,27 +734,17 @@ impl Instrumenter<'_> {
             StmtKind::Assign(..) | StmtKind::Assert(_) | StmtKind::Assume(_) => {
                 let mut v = self.prologue(temps, s, true);
                 v.push(s.clone());
-                // Race mode: register the distinguished field's address
-                // at the first allocation of the target struct.
-                if let (StmtKind::Assign(place, Rvalue::Malloc(sid)), Some(RaceTarget::Field(ts, tf))) =
-                    (&s.kind, self.config.race)
-                {
-                    if *sid == ts {
-                        let Place::Var(dest) = place else {
-                            unreachable!("`transform` rejects a non-variable malloc of the race target");
-                        };
-                        v.push(self.register_race_addr(temps, *dest, ts, tf, s.span));
-                    }
-                }
+                v.extend(self.registration(temps, s));
                 Stmt { kind: StmtKind::Seq(v), span: s.span, origin: s.origin }
             }
             StmtKind::Atomic(b) => {
                 // Figure 4/5: schedule(); choice{skip [] RAISE}; s —
                 // the body is *not* instrumented (and atomicity is
-                // vacuous sequentially).
+                // vacuous sequentially), apart from registering a race
+                // target allocated inside it.
                 let mut v = self.prologue(temps, s, false);
                 v.push(Stmt {
-                    kind: StmtKind::Atomic(b.clone()),
+                    kind: StmtKind::Atomic(Box::new(self.register_in_atomic(temps, b))),
                     span: s.span,
                     origin: s.origin,
                 });
@@ -784,6 +774,43 @@ impl Instrumenter<'_> {
                 Stmt { kind: StmtKind::Seq(v), span: s.span, origin: s.origin }
             }
         }
+    }
+
+    /// Race mode on a field: when `s` allocates the target struct, the
+    /// registration of the distinguished field's address that follows
+    /// it (the first allocation wins).
+    fn registration(&self, temps: &mut TempAlloc<'_>, s: &Stmt) -> Option<Stmt> {
+        let (StmtKind::Assign(place, Rvalue::Malloc(sid)), Some(RaceTarget::Field(ts, tf))) =
+            (&s.kind, self.config.race)
+        else {
+            return None;
+        };
+        if *sid != ts {
+            return None;
+        }
+        let Place::Var(dest) = place else {
+            unreachable!("`transform` rejects a non-variable malloc of the race target");
+        };
+        Some(self.register_race_addr(temps, *dest, ts, tf, s.span))
+    }
+
+    /// An atomic body with every allocation of the race target
+    /// registered, and nothing else instrumented.
+    fn register_in_atomic(&self, temps: &mut TempAlloc<'_>, s: &Stmt) -> Stmt {
+        let kind = match &s.kind {
+            StmtKind::Seq(ss) => {
+                StmtKind::Seq(ss.iter().map(|s| self.register_in_atomic(temps, s)).collect())
+            }
+            StmtKind::Choice(ss) => {
+                StmtKind::Choice(ss.iter().map(|s| self.register_in_atomic(temps, s)).collect())
+            }
+            StmtKind::Iter(b) => StmtKind::Iter(Box::new(self.register_in_atomic(temps, b))),
+            _ => match self.registration(temps, s) {
+                Some(registration) => StmtKind::Seq(vec![s.clone(), registration]),
+                None => return s.clone(),
+            },
+        };
+        Stmt { kind, span: s.span, origin: s.origin }
     }
 
     /// `if (__race_addr == null) __race_addr = &dest->field;`
@@ -912,7 +939,7 @@ impl Instrumenter<'_> {
 
 /// Generates `__schedule()`.
 fn gen_schedule(slots: &[TsSlot], arities: &[usize], raise: GlobalId, max_arity: usize) -> FuncDef {
-    let mut b = FnBuilder::new("__schedule", &[], false);
+    let mut b = FnBuilder::new("__schedule", &[]);
     b.origin(Origin::Sched);
     let f = b.local("__f");
     let argc = b.local("__argc");
@@ -998,7 +1025,7 @@ fn gen_schedule(slots: &[TsSlot], arities: &[usize], raise: GlobalId, max_arity:
 /// *first* access, so the race report can cite both sites.
 fn gen_check(is_read: bool, access: GlobalId, race_addr: GlobalId, access_site: GlobalId) -> FuncDef {
     let name = if is_read { "__check_r" } else { "__check_w" };
-    let mut b = FnBuilder::new(name, &["x", "site"], false);
+    let mut b = FnBuilder::new(name, &["x", "site"]);
     b.origin(Origin::Check);
     let x = b.param(0);
     let site = b.param(1);
@@ -1158,21 +1185,23 @@ mod tests {
 
     #[test]
     fn an_unregistrable_race_target_fails_even_when_unreachable() {
-        let src = |main: &str| {
+        let src = |bad: &str, main: &str| {
             format!(
                 "struct D {{ int f; }}
                  struct H {{ D *d; }}
                  H *h;
-                 void bad() {{ h->d = malloc(D); }}
+                 void bad() {{ {bad} }}
                  void main() {{ h = malloc(H); {main} }}"
             )
         };
-        for main in ["bad();", "skip;"] {
-            let p = prog(&src(main));
-            let race = RaceTarget::resolve(&p, "D.f");
-            let cfg = TransformConfig { max_ts: 0, race, alias_prune: true };
-            let e = transform(&p, &cfg).unwrap_err();
-            assert_eq!(e, TransformError::UnsupportedMallocDest, "{main}");
+        for bad in ["h->d = malloc(D);", "atomic { h->d = malloc(D); }"] {
+            for main in ["bad();", "skip;"] {
+                let p = prog(&src(bad, main));
+                let race = RaceTarget::resolve(&p, "D.f");
+                let cfg = TransformConfig { max_ts: 0, race, alias_prune: true };
+                let e = transform(&p, &cfg).unwrap_err();
+                assert_eq!(e, TransformError::UnsupportedMallocDest, "{bad} {main}");
+            }
         }
     }
 

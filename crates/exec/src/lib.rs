@@ -2,23 +2,32 @@
 //!
 //! The shared execution substrate for the KISS reproduction: dynamic
 //! values, addresses and heap objects ([`value`]), a flat control-flow
-//! instruction form lowered from the core IR ([`mod@cfg`]), and a
-//! context-generic evaluator for instructions ([`eval`]).
+//! instruction form lowered from the core IR ([`mod@cfg`]), a
+//! context-generic evaluator for operands, rvalues and assignments
+//! ([`eval`]), and the one instruction semantics ([`mod@step`]).
 //!
-//! Both the sequential checkers (`kiss-seq`, the stand-in for SLAM) and
-//! the concurrent baseline explorer (`kiss-conc`) are built on this
-//! crate, so a statement is guaranteed to mean the same thing under
-//! sequential and interleaved execution — which is what makes the
-//! completeness theorem (paper Theorem 1) empirically testable.
+//! [`step::step`] executes one instruction of one thread against a
+//! [`ThreadEnv`]: shared memory plus every thread's frame stack. The
+//! sequential checkers (`kiss-seq`, the stand-in for SLAM, and the
+//! `kiss-ltl` product) run it on a single stack; the concurrent
+//! explorer and runner (`kiss-conc`) run it on the scheduled thread and
+//! keep only their scheduling policy. So a statement means the same
+//! thing under sequential and interleaved execution, which is what
+//! makes the completeness theorem (paper Theorem 1) empirically
+//! testable. Only the summary engine, with its stackless frame model,
+//! interprets instructions on its own; it binds calls through
+//! [`step::bind_call`].
 
 pub mod cfg;
 pub mod cow;
 pub mod error;
 pub mod eval;
+pub mod step;
 pub mod value;
 
 pub use cfg::{FuncBody, Instr, InstrMeta, Module};
 pub use cow::CowVec;
 pub use error::ExecError;
 pub use eval::{eval_operand, eval_rvalue, exec_assign, place_addr, Env};
+pub use step::{Fault, Frame, Step, ThreadEnv, TraceStep};
 pub use value::{Addr, HeapObj, Memory, Value};

@@ -55,8 +55,8 @@ pub struct FnBuilder {
 }
 
 impl FnBuilder {
-    /// Starts a function with named parameters.
-    pub fn new(name: impl Into<String>, params: &[&str], has_ret: bool) -> Self {
+    /// Starts a `void` function with named, untyped parameters.
+    pub fn new(name: impl Into<String>, params: &[&str]) -> Self {
         let locals = params
             .iter()
             .map(|p| LocalDef { name: (*p).to_string(), ty: None })
@@ -66,7 +66,7 @@ impl FnBuilder {
                 name: name.into(),
                 param_count: locals.len() as u32,
                 locals,
-                has_ret,
+                ret: None,
                 body: Stmt::skip(),
             },
             stmts: Vec::new(),
@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn builds_a_function_with_locals_and_control_flow() {
-        let mut b = FnBuilder::new("sched", &["x"], false);
+        let mut b = FnBuilder::new("sched", &["x"]);
         let f = b.local("f");
         let x = b.param(0);
         b.set(l(f), null());
@@ -245,7 +245,7 @@ mod tests {
 
     #[test]
     fn choice_builder_produces_branches() {
-        let mut b = FnBuilder::new("f", &[], false);
+        let mut b = FnBuilder::new("f", &[]);
         b.choice(vec![
             Box::new(|b: &mut FnBuilder| {
                 b.skip();
@@ -261,7 +261,7 @@ mod tests {
 
     #[test]
     fn origin_is_attached_to_emitted_statements() {
-        let mut b = FnBuilder::new("f", &[], false);
+        let mut b = FnBuilder::new("f", &[]);
         b.origin(Origin::Sched).skip();
         let func = b.finish();
         assert_eq!(func.body.origin, Origin::Sched);
@@ -270,7 +270,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "parameter index out of range")]
     fn param_out_of_range_panics() {
-        let b = FnBuilder::new("f", &["a"], false);
+        let b = FnBuilder::new("f", &["a"]);
         let _ = b.param(1);
     }
 }

@@ -316,8 +316,8 @@ pub struct FuncDef {
     /// All locals: parameters first, then declarations, then
     /// lowering-introduced temporaries.
     pub locals: Vec<LocalDef>,
-    /// Whether the function returns a value.
-    pub has_ret: bool,
+    /// The declared return type; `None` for `void`.
+    pub ret: Option<Type>,
     /// The body.
     pub body: Stmt,
 }
@@ -430,7 +430,7 @@ mod tests {
             name: "main".into(),
             param_count: 0,
             locals: vec![],
-            has_ret: false,
+            ret: None,
             body: Stmt::skip(),
         });
         p

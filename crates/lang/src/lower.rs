@@ -159,7 +159,7 @@ impl<'a> FnCx<'a> {
                 name: f.name.clone(),
                 param_count: f.params.len() as u32,
                 locals,
-                has_ret: f.ret.is_some(),
+                ret: f.ret.clone(),
                 body: Stmt::skip(),
             },
             in_atomic: false,
@@ -781,6 +781,6 @@ mod tests {
         "#;
         let p = lower_src(src);
         assert_eq!(p.funcs.len(), 5);
-        assert!(p.func(p.func_by_name("BCSP_IoIncrement").unwrap()).has_ret);
+        assert_eq!(p.func(p.func_by_name("BCSP_IoIncrement").unwrap()).ret, Some(hir::Type::Int));
     }
 }

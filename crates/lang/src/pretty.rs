@@ -79,7 +79,7 @@ fn print_const(c: &Const, p: &Program) -> String {
 }
 
 fn print_func(out: &mut String, p: &Program, f: &FuncDef) {
-    let ret = if f.has_ret { "int" } else { "void" };
+    let ret = f.ret.as_ref().map_or_else(|| "void".into(), print_type);
     let _ = write!(out, "{ret} {}(", f.name);
     for (i, l) in f.locals.iter().take(f.param_count as usize).enumerate() {
         if i > 0 {
@@ -377,6 +377,26 @@ mod tests {
         let p3 = parse_and_lower(&text2).unwrap();
         let text3 = print_program(&p3);
         assert_eq!(text2, text3);
+    }
+
+    #[test]
+    fn return_types_survive_a_round_trip() {
+        let src = "struct D { int x; }
+            void h() { skip; }
+            fn get() { return h; }
+            bool b() { return true; }
+            D *mk() { D *p; p = malloc(D); return p; }
+            int n() { return 1; }
+            void main() { skip; }";
+        let p = parse_and_lower(src).unwrap();
+        let text = print_program(&p);
+        for sig in ["void h()", "fn get()", "bool b()", "D * mk()", "int n()", "void main()"] {
+            assert!(text.contains(sig), "{sig} missing from:\n{text}");
+        }
+        let p2 = parse_and_lower(&text).unwrap_or_else(|e| panic!("reparse failed: {e}\n{text}"));
+        let rets = |p: &Program| p.funcs.iter().map(|f| f.ret.clone()).collect::<Vec<_>>();
+        assert_eq!(rets(&p), rets(&p2));
+        assert_eq!(print_program(&p2), text);
     }
 
     #[test]

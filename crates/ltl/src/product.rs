@@ -26,14 +26,12 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use kiss_exec::{ExecError, Module};
+use kiss_exec::step::{self, Fault, Step};
+use kiss_exec::{ExecError, Module, TraceStep};
 use kiss_obs::{Obs, Span, TraceId};
 use kiss_seq::config::{fingerprint_of, Config};
-use kiss_seq::step::{self, Fault, Step};
 use kiss_seq::store::{trace_to, SegId, SegmentInterner, StateId, VisitedTable};
-use kiss_seq::{
-    BoundReason, Budget, CancelToken, EngineStats, ErrorTrace, Meter, TraceStep,
-};
+use kiss_seq::{BoundReason, Budget, CancelToken, EngineStats, ErrorTrace, Meter};
 use kiss_lang::hir::Origin;
 use kiss_lang::Program;
 
@@ -174,22 +172,24 @@ impl<'a> ProductChecker<'a> {
     }
 
     /// Executes the single instruction at `config`'s top frame through
-    /// the shared sequential [`step::step`], returning every program
+    /// kiss-exec's shared [`step::step`], returning every program
     /// successor (the Büchi automaton may branch at every step). Two
     /// policies differ from the safety engines: a false `assert` prunes
     /// like a false `assume` — assertion failures are the safety
     /// checker's verdict, and a failed path has no infinite
     /// continuation — and RAISE branch targets are dropped.
     fn step_config(&self, config: &Config) -> ProgStep {
-        let Some((instr, at)) = step::current(self.module, config) else {
+        let Some((instr, at)) = step::current(self.module, &config.stack) else {
             // Terminated: the final state repeats forever.
             return Ok(vec![(config.clone(), None)]);
         };
         let mut config = config.clone();
-        match step::step(self.module, &mut config, instr) {
+        match step::step(&mut config.thread(self.module), instr) {
             Ok(Step::Continue | Step::Finished) => Ok(vec![(config, Some(at))]),
             Ok(Step::Pruned) | Err(Fault::Assert) => Ok(Vec::new()),
             Err(Fault::Exec(e)) => Err((e, at)),
+            // One stack has no second thread to start.
+            Ok(Step::Spawn(_)) => Err((ExecError::AsyncInSequential, at)),
             Ok(Step::Branch(targets)) => {
                 let meta = &self.module.body(at.func).meta;
                 // The transformation's RAISE arms truncate a thread

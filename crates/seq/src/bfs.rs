@@ -21,16 +21,16 @@
 
 use std::collections::VecDeque;
 
-use kiss_exec::Module;
+use kiss_exec::step::{self, Fault, Step};
+use kiss_exec::{ExecError, Module, TraceStep, Value};
 use kiss_obs::Obs;
 
 use crate::budget::{BoundReason, Budget, Meter};
 use crate::cancel::CancelToken;
 use crate::config::Config;
 use crate::stats::EngineStats;
-use crate::step::{self, Fault, Step};
 use crate::store::{trace_to, SegId, SegmentInterner, StateCapExceeded, StateId, VisitedTable};
-use crate::verdict::{ErrorTrace, TraceStep, Verdict};
+use crate::verdict::{ErrorTrace, Verdict};
 
 /// The search's state storage.
 struct Store {
@@ -50,12 +50,13 @@ impl Store {
             + self.interner.bytes()
     }
 
-    /// The full trace to the node `id` followed by `tail` — rebuilt
-    /// lazily, only when a violation is actually reported.
-    fn trace(&self, id: StateId, tail: Vec<TraceStep>) -> ErrorTrace {
+    /// The full trace to the node `id` followed by `tail`, ending with
+    /// the failing configuration's `globals` — rebuilt lazily, only
+    /// when a violation is actually reported.
+    fn trace(&self, id: StateId, tail: Vec<TraceStep>, globals: Vec<Value>) -> ErrorTrace {
         let mut steps = trace_to(&self.interner, id, |id| self.parents[id.0 as usize]);
         steps.extend(tail);
-        ErrorTrace { steps, globals: Vec::new() }
+        ErrorTrace { steps, globals }
     }
 }
 
@@ -166,9 +167,9 @@ impl<'a> BfsChecker<'a> {
                 SegmentEnd::Budget(reason) => {
                     return (meter.bound(reason), stats(&meter, &store, frontier_peak))
                 }
-                SegmentEnd::Error(fault) => {
-                    let trace = store.trace(parent_id, std::mem::take(&mut steps));
-                    return (fault.verdict(trace), stats(&meter, &store, frontier_peak));
+                SegmentEnd::Error(fault, globals) => {
+                    let trace = store.trace(parent_id, std::mem::take(&mut steps), globals);
+                    return (Verdict::of_fault(fault, trace), stats(&meter, &store, frontier_peak));
                 }
                 SegmentEnd::Done => {}
                 SegmentEnd::Branch(mut config, targets) => {
@@ -239,21 +240,24 @@ impl<'a> BfsChecker<'a> {
     ) -> SegmentEnd<'a> {
         steps.clear();
         loop {
-            let Some((instr, at)) = step::current(self.module, &config) else {
+            let Some((instr, at)) = step::current(self.module, &config.stack) else {
                 return SegmentEnd::Done;
             };
             if let Err(reason) = meter.tick() {
                 return SegmentEnd::Budget(reason);
             }
             steps.push(at);
-            match step::step(self.module, &mut config, instr) {
-                Ok(Step::Continue) => {}
+            let fault = match step::step(&mut config.thread(self.module), instr) {
+                Ok(Step::Continue) => continue,
                 Ok(Step::Finished | Step::Pruned) => return SegmentEnd::Done,
                 // Hand the parked config back; the caller steers its pc
                 // through the targets, cloning only new states.
                 Ok(Step::Branch(targets)) => return SegmentEnd::Branch(config, targets),
-                Err(fault) => return SegmentEnd::Error(fault),
-            }
+                // One stack has no second thread to start.
+                Ok(Step::Spawn(_)) => ExecError::AsyncInSequential.into(),
+                Err(fault) => fault,
+            };
+            return SegmentEnd::Error(fault, config.mem.globals.to_vec());
         }
     }
 }
@@ -265,9 +269,10 @@ enum SegmentEnd<'m> {
     /// `NondetJump`, and the jump's targets. The segment's steps are in
     /// the caller's scratch buffer.
     Branch(Config, &'m [usize]),
-    /// An assertion failure or runtime error; the verdict's trace ends
-    /// with the caller's scratch buffer.
-    Error(Fault),
+    /// An assertion failure or runtime error, with the globals at the
+    /// failure (race reports read the first access's site from them);
+    /// the verdict's trace ends with the caller's scratch buffer.
+    Error(Fault, Vec<Value>),
     /// Out of budget, with the axis that tripped.
     Budget(BoundReason),
 }

@@ -12,16 +12,16 @@
 //! only the chunks its path wrote since they were last shared; the
 //! rest of a driver harness's heap costs one digest load per chunk.
 
-use kiss_exec::{Instr, Module};
+use kiss_exec::step::{self, Step};
+use kiss_exec::{ExecError, Instr, Module, TraceStep};
 use kiss_obs::Obs;
 
 use crate::budget::{BoundReason, Budget, Meter};
 use crate::cancel::CancelToken;
 use crate::config::Config;
 use crate::stats::EngineStats;
-use crate::step::{self, Step};
 use crate::store::{StateCapExceeded, VisitedTable};
-use crate::verdict::{ErrorTrace, TraceStep, Verdict};
+use crate::verdict::{ErrorTrace, Verdict};
 
 /// The explicit-state checker.
 #[derive(Debug, Clone)]
@@ -148,7 +148,7 @@ impl Search<'_> {
     fn run_path(&mut self, mut config: Config) -> PathEnd {
         let module = self.module;
         loop {
-            let Some((instr, at)) = step::current(module, &config) else {
+            let Some((instr, at)) = step::current(module, &config.stack) else {
                 return PathEnd::Done; // program finished
             };
             if let Err(reason) = self.meter.tick() {
@@ -165,8 +165,8 @@ impl Search<'_> {
                     Err(v) => return PathEnd::Stop(v),
                 }
             }
-            match step::step(module, &mut config, instr) {
-                Ok(Step::Continue) => {}
+            let fault = match step::step(&mut config.thread(module), instr) {
+                Ok(Step::Continue) => continue,
                 Ok(Step::Finished | Step::Pruned) => return PathEnd::Done,
                 Ok(Step::Branch(targets)) => match targets.split_first() {
                     None => return PathEnd::Done, // no branch: dead end
@@ -179,10 +179,14 @@ impl Search<'_> {
                         }
                         self.frontier_peak = self.frontier_peak.max(self.pending.len() + 1);
                         config.stack.last_mut().expect("nonempty").pc = first;
+                        continue;
                     }
                 },
-                Err(fault) => return PathEnd::Stop(fault.verdict(self.snapshot(&config))),
-            }
+                // One stack has no second thread to start.
+                Ok(Step::Spawn(_)) => ExecError::AsyncInSequential.into(),
+                Err(fault) => fault,
+            };
+            return PathEnd::Stop(Verdict::of_fault(fault, self.snapshot(&config)));
         }
     }
 

@@ -19,8 +19,10 @@
 //!
 //! All three agree on verdicts; an integration test checks this on a
 //! program corpus. The explicit and BFS engines (and kiss-ltl's product
-//! engine) execute instructions through the one shared [`step::step`];
-//! the summary engine binds calls through `step::bind_call`.
+//! engine) execute instructions through kiss-exec's one shared
+//! [`kiss_exec::step::step`], on a [`config::Config`]'s single stack; the
+//! summary engine keeps its own stackless interpreter and binds calls
+//! through [`kiss_exec::step::bind_call`].
 
 pub mod bfs;
 pub mod budget;
@@ -28,7 +30,6 @@ pub mod cancel;
 pub mod config;
 pub mod explicit;
 pub mod stats;
-pub mod step;
 pub mod store;
 pub mod summary;
 pub mod verdict;
@@ -40,4 +41,4 @@ pub use explicit::ExplicitChecker;
 pub use stats::EngineStats;
 pub use store::{SegmentInterner, StateCapExceeded, StateId, VisitedTable};
 pub use summary::SummaryChecker;
-pub use verdict::{ErrorTrace, TraceStep, Verdict};
+pub use verdict::{ErrorTrace, Verdict};

@@ -18,7 +18,7 @@
 //!   so a repeated segment costs one slice compare instead of a clone;
 //! * [`trace_to`] — the one walk from a state back to its root.
 
-use crate::verdict::TraceStep;
+use kiss_exec::TraceStep;
 
 /// A state store ran out of dense-id space: the table cannot mint
 /// another [`StateId`] without wrapping. Engines surface this as an

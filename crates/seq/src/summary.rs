@@ -17,15 +17,15 @@
 
 use std::collections::{BTreeSet, HashMap};
 
+use kiss_exec::step::{bind_call, entry_locals};
 use kiss_exec::{eval, Addr, Env, ExecError, Instr, Memory, Module, Value};
 use kiss_lang::hir::{FuncId, LocalId, VarRef};
 use kiss_obs::Obs;
 
 use crate::budget::{BoundReason, Budget, Meter};
 use crate::cancel::CancelToken;
-use crate::config::{entry_locals, state_fingerprint};
+use crate::config::state_fingerprint;
 use crate::stats::EngineStats;
-use crate::step::bind_call;
 use crate::store::VisitedTable;
 use crate::verdict::{ErrorTrace, Verdict};
 

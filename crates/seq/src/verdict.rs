@@ -1,23 +1,9 @@
 //! Check outcomes and error traces.
 
-use kiss_exec::ExecError;
-use kiss_lang::hir::{FuncId, Origin};
-use kiss_lang::Span;
+use kiss_exec::{ExecError, Fault, TraceStep};
+use kiss_lang::hir::Origin;
 
 use crate::budget::BoundReason;
-
-/// One executed instruction in an error trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceStep {
-    /// Function containing the instruction.
-    pub func: FuncId,
-    /// Program counter within the function body.
-    pub pc: usize,
-    /// Provenance (user statement vs. KISS instrumentation).
-    pub origin: Origin,
-    /// Source span of the originating statement.
-    pub span: Span,
-}
 
 /// A full error trace: every instruction executed from the initial
 /// state to the failure, in order.
@@ -60,6 +46,14 @@ pub enum Verdict {
 }
 
 impl Verdict {
+    /// The verdict a fault ends a search with, over `trace`.
+    pub fn of_fault(fault: Fault, trace: ErrorTrace) -> Verdict {
+        match fault {
+            Fault::Assert => Verdict::Fail(trace),
+            Fault::Exec(e) => Verdict::RuntimeError(e, trace),
+        }
+    }
+
     /// `true` for [`Verdict::Fail`].
     pub fn is_fail(&self) -> bool {
         matches!(self, Verdict::Fail(_))
@@ -92,6 +86,8 @@ impl std::fmt::Display for Verdict {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kiss_lang::hir::FuncId;
+    use kiss_lang::Span;
 
     #[test]
     fn predicates_match_variants() {
