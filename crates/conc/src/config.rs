@@ -1,8 +1,8 @@
 //! Concurrent configurations: shared memory plus one stack per thread.
 
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 
-use kiss_exec::{Frame, Memory, Module, ThreadEnv};
+use kiss_exec::{Frame, Memory, Module, ThreadEnv, TwoLaneHasher};
 
 /// A concurrent configuration.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -35,17 +35,18 @@ impl ConcConfig {
         ThreadEnv::new(module, &mut self.mem, &mut self.threads, tid)
     }
 
-    /// A 128-bit fingerprint for visited-state hashing, mixed with an
-    /// engine-supplied extra (scheduler restrictions are part of the
-    /// exploration state).
-    pub fn fingerprint(&self, extra: u64) -> (u64, u64) {
-        let mut h1 = std::collections::hash_map::DefaultHasher::new();
-        extra.hash(&mut h1);
-        self.hash(&mut h1);
-        let mut h2 = std::collections::hash_map::DefaultHasher::new();
-        (extra ^ 0xDEAD_BEEF).hash(&mut h2);
-        self.hash(&mut h2);
-        (h1.finish(), h2.finish())
+    /// The 128-bit key the explorer records this configuration under
+    /// in its [`VisitedTable`](kiss_exec::store::VisitedTable), in one
+    /// [`TwoLaneHasher`] pass: memory through its cached chunk digests
+    /// ([`Memory::hash_cached`]), then every thread's stack, then
+    /// `extra` — the scheduler state the exploration mode restricts
+    /// on, which is part of the search node.
+    pub fn fingerprint(&self, extra: &impl Hash) -> (u64, u64) {
+        let mut h = TwoLaneHasher::new();
+        self.mem.hash_cached(&mut h);
+        self.threads.hash(&mut h);
+        extra.hash(&mut h);
+        h.finish_pair()
     }
 }
 
@@ -73,7 +74,9 @@ mod tests {
     fn fingerprint_mixes_extra_state() {
         let m = module("int g; void main() { g = 1; }");
         let c = ConcConfig::initial(&m);
-        assert_ne!(c.fingerprint(0), c.fingerprint(1));
-        assert_eq!(c.fingerprint(7), c.fingerprint(7));
+        assert_ne!(c.fingerprint(&0u32), c.fingerprint(&1u32));
+        assert_eq!(c.fingerprint(&7u32), c.clone().fingerprint(&7u32));
+        assert_ne!(c.fingerprint(&()), c.fingerprint(&(None::<u32>, 0u32)));
+        assert_ne!(c.fingerprint(&(Some(0u32), 1u32)), c.fingerprint(&(Some(1u32), 0u32)));
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! This is the "traditional model checker" of the paper's introduction:
 //! it explores all reachable states of the concurrent program across
-//! all thread interleavings, with whole-configuration hashing. Its
-//! state count grows exponentially with the number of threads — the
-//! very blowup KISS avoids — which the scalability benchmark measures.
+//! all thread interleavings, recording each whole configuration in
+//! kiss-exec's [`VisitedTable`] — the store the sequential engines
+//! use — under [`ConcConfig::fingerprint`]. Its state count grows
+//! exponentially with the number of threads — the very blowup KISS
+//! avoids — which the scalability benchmark measures.
 //!
 //! The explorer doubles as the ground truth for Theorem 1 via
 //! [`ScheduleMode::Balanced`] (only stack-disciplined schedules), and
@@ -12,10 +14,8 @@
 //! [`ScheduleMode::Pattern`] (only schedules following a given
 //! thread-id pattern).
 
-use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
-
 use kiss_exec::step::{self, Fault, Step};
+use kiss_exec::store::{StateCapExceeded, VisitedTable};
 use kiss_exec::{ExecError, Instr, Module, TraceStep};
 use kiss_lang::hir::{FuncId, Origin};
 use kiss_lang::Span;
@@ -144,7 +144,7 @@ pub struct Explorer<'a> {
 
 /// Scheduler-side exploration state (part of the search node under
 /// restricted modes).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 struct SchedState {
     last_tid: Option<u32>,
     switches: u32,
@@ -210,10 +210,13 @@ impl<'a> Explorer<'a> {
     /// Runs the exploration, also returning statistics.
     pub fn check_with_stats(&self) -> (ConcVerdict, ConcStats) {
         let mut stats = ConcStats::default();
-        let mut visited: HashSet<(u64, u64)> = HashSet::new();
+        let mut visited = VisitedTable::new();
         let mut trace: Vec<ConcTraceStep> = Vec::new();
         let initial = Node { config: ConcConfig::initial(self.module), sched: SchedState::default() };
         let mut pending: Vec<(Node, usize, Option<ConcTraceStep>)> = vec![(initial, 0, None)];
+        let bound = |stats: ConcStats, states| {
+            (ConcVerdict::ResourceBound { steps: stats.transitions, states }, stats)
+        };
 
         'outer: while let Some((mut node, tlen, step)) = pending.pop() {
             trace.truncate(tlen);
@@ -222,13 +225,12 @@ impl<'a> Explorer<'a> {
             }
             loop {
                 if stats.transitions > self.max_steps || visited.len() > self.max_states {
-                    return (
-                        ConcVerdict::ResourceBound { steps: stats.transitions, states: visited.len() },
-                        stats,
-                    );
+                    return bound(stats, visited.len());
                 }
-                if !visited.insert(node.config.fingerprint(self.sched_hash(&node.sched))) {
-                    continue 'outer;
+                match visited.insert(self.fingerprint(&node)) {
+                    Ok((_, true)) => {}
+                    Ok((_, false)) => continue 'outer,
+                    Err(StateCapExceeded) => return bound(stats, visited.len()),
                 }
                 stats.states = visited.len();
                 stats.max_threads = stats.max_threads.max(node.config.threads.len());
@@ -251,15 +253,7 @@ impl<'a> Explorer<'a> {
                                 stats,
                             );
                         }
-                        Err(Failure::Limit) => {
-                            return (
-                                ConcVerdict::ResourceBound {
-                                    steps: stats.transitions,
-                                    states: visited.len(),
-                                },
-                                stats,
-                            );
-                        }
+                        Err(Failure::Limit) => return bound(stats, visited.len()),
                         Ok(_) => {}
                     }
                 }
@@ -282,26 +276,17 @@ impl<'a> Explorer<'a> {
         (ConcVerdict::Pass, stats)
     }
 
-    fn sched_hash(&self, sched: &SchedState) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+    /// The node's visited-table key: its configuration followed by
+    /// only the scheduler fields the mode restricts on. The mode is
+    /// fixed for a whole exploration, so it needs no tag of its own.
+    fn fingerprint(&self, node: &Node) -> (u64, u64) {
+        let (config, sched) = (&node.config, &node.sched);
         match &self.mode {
-            ScheduleMode::Free => 0u8.hash(&mut h),
-            ScheduleMode::Balanced => {
-                1u8.hash(&mut h);
-                sched.tracker.hash(&mut h);
-            }
-            ScheduleMode::ContextBound(_) => {
-                2u8.hash(&mut h);
-                sched.last_tid.hash(&mut h);
-                sched.switches.hash(&mut h);
-            }
-            ScheduleMode::Pattern(_) => {
-                3u8.hash(&mut h);
-                sched.last_tid.hash(&mut h);
-                sched.pattern_pos.hash(&mut h);
-            }
+            ScheduleMode::Free => config.fingerprint(&()),
+            ScheduleMode::Balanced => config.fingerprint(&sched.tracker),
+            ScheduleMode::ContextBound(_) => config.fingerprint(&(sched.last_tid, sched.switches)),
+            ScheduleMode::Pattern(_) => config.fingerprint(&(sched.last_tid, sched.pattern_pos)),
         }
-        h.finish()
     }
 
     /// Whether `tid` may act next under the schedule mode, returning
@@ -761,6 +746,146 @@ mod tests {
         let (_, s1) = Explorer::new(&m1).with_max_threads(8).check_with_stats();
         let (_, s3) = Explorer::new(&m3).with_max_threads(8).check_with_stats();
         assert!(s3.states > s1.states, "interleaving blowup: {s1:?} vs {s3:?}");
+    }
+
+    /// The historical fingerprint, kept as the distribution oracle: a
+    /// `DefaultHasher` pass over the mode's scheduler fields, mixed into
+    /// two more over the configuration's derived `Hash`. Any family of
+    /// search nodes the old scheme kept distinct, the single-pass
+    /// fingerprint must keep distinct too (no new collisions).
+    fn double_pass_fingerprint(mode: &ScheduleMode, node: &Node) -> (u64, u64) {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let sched = &node.sched;
+        let mut h = DefaultHasher::new();
+        match mode {
+            ScheduleMode::Free => 0u8.hash(&mut h),
+            ScheduleMode::Balanced => {
+                1u8.hash(&mut h);
+                sched.tracker.hash(&mut h);
+            }
+            ScheduleMode::ContextBound(_) => {
+                2u8.hash(&mut h);
+                sched.last_tid.hash(&mut h);
+                sched.switches.hash(&mut h);
+            }
+            ScheduleMode::Pattern(_) => {
+                3u8.hash(&mut h);
+                sched.last_tid.hash(&mut h);
+                sched.pattern_pos.hash(&mut h);
+            }
+        }
+        let extra = h.finish();
+        let mut h1 = DefaultHasher::new();
+        extra.hash(&mut h1);
+        node.config.hash(&mut h1);
+        let mut h2 = DefaultHasher::new();
+        (extra ^ 0xDEAD_BEEF).hash(&mut h2);
+        node.config.hash(&mut h2);
+        (h1.finish(), h2.finish())
+    }
+
+    #[test]
+    fn fingerprint_distribution_matches_the_double_pass_scheme() {
+        use kiss_exec::{Frame, Value};
+        use std::collections::BTreeSet;
+        let m = module(
+            "int g; int h;
+             void w(int a) { int l; l = a; g = l; }
+             void main() { g = 1; h = 2; }",
+        );
+        let w = m.program.func_by_name("w").unwrap();
+        // Configurations with one to three threads, spanning globals,
+        // main's pc, and a last worker that is fresh, advanced or done.
+        let mut configs = Vec::new();
+        for threads in 1..=3 {
+            for g in 0..12 {
+                for pc in 0..3 {
+                    for shape in 0..if threads == 1 { 1 } else { 3 } {
+                        let mut c = ConcConfig::initial(&m);
+                        c.mem.globals[0] = Value::Int(g);
+                        c.threads[0][0].pc = pc;
+                        for t in 1..threads {
+                            c.threads.push(vec![Frame::enter(&m, w, &[Value::Int(t + g)], None)]);
+                        }
+                        let last = c.threads.last_mut().expect("main");
+                        match shape {
+                            1 => last[0].pc = 1,
+                            2 => last.clear(),
+                            _ => {}
+                        }
+                        configs.push(c);
+                    }
+                }
+            }
+        }
+        // Every scheduler field each mode hashes, varied on its own.
+        let tids = [None, Some(0), Some(1), Some(2)];
+        let mut trackers: Vec<BalanceTracker> = Vec::new();
+        for len in 0..=4u32 {
+            for code in 0..3u32.pow(len) {
+                let schedule: Vec<u32> = (0..len).map(|i| code / 3u32.pow(i) % 3).collect();
+                let mut tracker = BalanceTracker::new();
+                if schedule.iter().all(|&t| tracker.step(t)) && !trackers.contains(&tracker) {
+                    trackers.push(tracker);
+                }
+            }
+        }
+        let scheds = |mode: &ScheduleMode| -> Vec<SchedState> {
+            let base = SchedState::default();
+            match mode {
+                ScheduleMode::Free => vec![base],
+                ScheduleMode::Balanced => trackers
+                    .iter()
+                    .map(|tracker| SchedState { tracker: tracker.clone(), ..base.clone() })
+                    .collect(),
+                ScheduleMode::ContextBound(_) => tids
+                    .iter()
+                    .flat_map(|&last_tid| {
+                        (0..4).map(move |switches| SchedState {
+                            last_tid,
+                            switches,
+                            ..Default::default()
+                        })
+                    })
+                    .collect(),
+                ScheduleMode::Pattern(_) => tids
+                    .iter()
+                    .flat_map(|&last_tid| {
+                        (0..4).map(move |pattern_pos| SchedState {
+                            last_tid,
+                            pattern_pos,
+                            ..Default::default()
+                        })
+                    })
+                    .collect(),
+            }
+        };
+        let modes = [
+            ScheduleMode::Free,
+            ScheduleMode::Balanced,
+            ScheduleMode::ContextBound(3),
+            ScheduleMode::Pattern(vec![0, 1, 2, 0]),
+        ];
+        for mode in modes {
+            let explorer = Explorer::new(&m).with_mode(mode.clone());
+            let mut old_seen = BTreeSet::new();
+            let mut new_seen = BTreeSet::new();
+            let mut count = 0;
+            for sched in scheds(&mode) {
+                for config in &configs {
+                    let node = Node { config: config.clone(), sched: sched.clone() };
+                    old_seen.insert(double_pass_fingerprint(&mode, &node));
+                    new_seen.insert(explorer.fingerprint(&node));
+                    count += 1;
+                }
+            }
+            // The old scheme kept every node distinct, and the new one
+            // must too.
+            assert_eq!(old_seen.len(), count, "{mode:?}");
+            assert_eq!(new_seen.len(), count, "{mode:?}: new collisions");
+        }
+        assert!(trackers.len() > 10, "{trackers:?}");
     }
 
     #[test]

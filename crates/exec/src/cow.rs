@@ -20,6 +20,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::fingerprint::fingerprint_of;
+
 const CHUNK_BITS: usize = 3;
 const CHUNK: usize = 1 << CHUNK_BITS;
 const MASK: usize = CHUNK - 1;
@@ -32,7 +34,7 @@ const MASK: usize = CHUNK - 1;
 /// for all the memory sibling states never wrote.
 struct Chunk<T> {
     data: Vec<T>,
-    /// Two independent digest lanes; meaningful only when `sealed`.
+    /// [`fingerprint_of`] `data`; meaningful only when `sealed`.
     digest: (AtomicU64, AtomicU64),
     /// Whether `digest` holds the hash of the current `data`.
     sealed: AtomicBool,
@@ -58,9 +60,7 @@ impl<T: Hash> Chunk<T> {
         if self.sealed.load(Ordering::Acquire) {
             return (self.digest.0.load(Ordering::Relaxed), self.digest.1.load(Ordering::Relaxed));
         }
-        let mut h = ChunkHasher::new();
-        self.data.hash(&mut h);
-        let (a, b) = h.finish_pair();
+        let (a, b) = fingerprint_of(&self.data);
         self.digest.0.store(a, Ordering::Relaxed);
         self.digest.1.store(b, Ordering::Relaxed);
         self.sealed.store(true, Ordering::Release);
@@ -73,58 +73,6 @@ impl<T: Clone> Clone for Chunk<T> {
         // A clone exists to be written (it is what `Arc::make_mut`
         // creates behind the write barrier), so it starts unsealed.
         Chunk::new(self.data.clone())
-    }
-}
-
-/// A single-pass two-lane mixing hasher for chunk digests: xor, odd
-/// rotations, and odd multipliers per 8-byte word, one independent
-/// seed and multiplier per lane.
-struct ChunkHasher {
-    a: u64,
-    b: u64,
-}
-
-impl ChunkHasher {
-    fn new() -> Self {
-        ChunkHasher { a: 0x243F_6A88_85A3_08D3, b: 0x1319_8A2E_0370_7344 }
-    }
-
-    fn mix(&mut self, word: u64) {
-        self.a = (self.a ^ word).rotate_left(23).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.b = (self.b ^ word).rotate_left(29).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-    }
-
-    fn finish_pair(self) -> (u64, u64) {
-        // splitmix64-style finalization on each lane.
-        let fin = |mut x: u64| {
-            x ^= x >> 30;
-            x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x ^= x >> 27;
-            x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-            x ^ (x >> 31)
-        };
-        (fin(self.a), fin(self.b))
-    }
-}
-
-impl Hasher for ChunkHasher {
-    fn finish(&self) -> u64 {
-        unreachable!("chunk digests are read through finish_pair")
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut it = bytes.chunks_exact(8);
-        for word in &mut it {
-            self.mix(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
-        }
-        let rest = it.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            // Length-tag the tail so `[1]` and `[1, 0]` differ.
-            tail[7] = rest.len() as u8;
-            self.mix(u64::from_le_bytes(tail));
-        }
     }
 }
 

@@ -1,6 +1,8 @@
-//! The state store shared by the sequential engines: interned visited
-//! table, trace-segment interner, and the parent-edge walk that turns
-//! them back into a trace.
+//! The one state store: the interned visited table every engine keys
+//! on fingerprints, the trace-segment interner, and the parent-edge
+//! walk that turns them back into a trace. The explicit, BFS and
+//! summary engines, the LTL product and the concurrent explorer all
+//! record their states here.
 //!
 //! Explicit-state search lives or dies on its per-state bookkeeping
 //! (paper §6 bounds every check at 20 min / 800 MB). A
@@ -11,20 +13,20 @@
 //! avoids both:
 //!
 //! * [`VisitedTable`] — open addressing keyed *directly* on the
-//!   fingerprint (it is already avalanche-mixed, so the low bits are
-//!   the slot index) which hands out dense [`StateId`]s in insertion
-//!   order, giving the engines array-indexed parent maps for free;
+//!   fingerprint (a [`TwoLaneHasher`](crate::fingerprint::TwoLaneHasher)
+//!   output is already avalanche-mixed, so the low bits are the slot
+//!   index) which hands out dense [`StateId`]s in insertion order,
+//!   giving the engines array-indexed parent maps for free;
 //! * [`SegmentInterner`] — a flat [`TraceStep`] arena with hash-dedup,
 //!   so a repeated segment costs one slice compare instead of a clone;
 //! * [`trace_to`] — the one walk from a state back to its root.
 
-use kiss_exec::TraceStep;
+use crate::step::TraceStep;
 
 /// A state store ran out of dense-id space: the table cannot mint
 /// another [`StateId`] without wrapping. Engines surface this as an
-/// inconclusive verdict with [`crate::budget::BoundReason::StateCap`]
-/// — a silent u32 wrap would alias two distinct states and unsoundly
-/// prune the search.
+/// inconclusive verdict — a silent u32 wrap would alias two distinct
+/// states and unsoundly prune the search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateCapExceeded;
 
@@ -85,6 +87,7 @@ impl VisitedTable {
     }
 
     /// Number of distinct fingerprints stored.
+    #[inline]
     pub fn len(&self) -> usize {
         self.fps.len()
     }
@@ -98,6 +101,7 @@ impl VisitedTable {
     /// Ids are dense and assigned in first-seen order. Fails — without
     /// storing anything — when a genuinely new fingerprint would
     /// exceed the id space.
+    #[inline]
     pub fn insert(&mut self, fp: (u64, u64)) -> Result<(StateId, bool), StateCapExceeded> {
         if (self.fps.len() + 1) * 4 > self.slots.len() * 3 {
             self.grow();
@@ -118,23 +122,6 @@ impl VisitedTable {
                     let id = slot - 1;
                     if self.fps[id as usize] == fp {
                         return Ok((StateId(id), false));
-                    }
-                    idx = (idx + 1) & mask;
-                }
-            }
-        }
-    }
-
-    /// Whether `fp` has been inserted.
-    pub fn contains(&self, fp: (u64, u64)) -> bool {
-        let mask = self.slots.len() - 1;
-        let mut idx = (fp.0 ^ fp.1) as usize & mask;
-        loop {
-            match self.slots[idx] {
-                0 => return false,
-                slot => {
-                    if self.fps[(slot - 1) as usize] == fp {
-                        return true;
                     }
                     idx = (idx + 1) & mask;
                 }
@@ -209,16 +196,6 @@ impl SegmentInterner {
             hashes: vec![0],
             slots: vec![0u32; INITIAL_SLOTS].into_boxed_slice(),
         }
-    }
-
-    /// Number of distinct segments (including the empty one).
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Whether only the empty segment is interned.
-    pub fn is_empty(&self) -> bool {
-        self.spans.len() == 1
     }
 
     /// Interns `segment`, returning the id of an existing identical
@@ -345,15 +322,13 @@ mod tests {
         }
         assert_eq!(t.len(), 5000);
         for i in 0..5000u64 {
-            let fp = (i, i.rotate_left(17));
-            assert!(t.contains(fp));
-            let (id, new) = t.insert(fp).unwrap();
-            assert!(!new);
+            let (id, new) = t.insert((i, i.rotate_left(17))).unwrap();
+            assert!(!new, "fp {i} reported as new on re-insert");
             assert_eq!(id, StateId(i as u32), "re-insert must return the original id");
         }
         assert_eq!(t.len(), 5000);
-        assert!(!t.contains((9999, 1)));
         assert!(t.bytes() >= 5000 * 16);
+        assert_eq!(t.insert((9999, 1)).unwrap(), (StateId(5000), true));
     }
 
     fn step(func: u32, pc: usize) -> TraceStep {
@@ -363,7 +338,6 @@ mod tests {
     #[test]
     fn interner_dedups_repeated_segments() {
         let mut i = SegmentInterner::new();
-        assert!(i.is_empty());
         let preamble: Vec<TraceStep> = (0..10).map(|pc| step(0, pc)).collect();
         let other: Vec<TraceStep> = (0..10).map(|pc| step(1, pc)).collect();
 
@@ -377,7 +351,6 @@ mod tests {
             assert_eq!(i.intern(&preamble), a);
             assert_eq!(i.intern(&other), b);
         }
-        assert_eq!(i.len(), 3, "empty + two distinct segments");
         assert_eq!(i.bytes(), arena_after_two);
         assert_eq!(i.get(a), &preamble[..]);
         assert_eq!(i.get(b), &other[..]);
@@ -430,6 +403,8 @@ mod tests {
         // stored.
         assert_eq!(t.insert((9, 109)), Err(StateCapExceeded));
         assert_eq!(t.len(), 3);
-        assert!(!t.contains((9, 109)));
+        let bytes = t.bytes();
+        assert_eq!(t.insert((9, 109)), Err(StateCapExceeded), "the refused fp was not stored");
+        assert_eq!(t.bytes(), bytes);
     }
 }

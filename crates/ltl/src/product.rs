@@ -27,10 +27,10 @@
 use std::collections::{HashMap, VecDeque};
 
 use kiss_exec::step::{self, Fault, Step};
-use kiss_exec::{ExecError, Module, TraceStep};
+use kiss_exec::store::{trace_to, SegId, SegmentInterner, StateId, VisitedTable};
+use kiss_exec::{fingerprint_of, ExecError, Module, TraceStep};
 use kiss_obs::{Obs, Span, TraceId};
-use kiss_seq::config::{fingerprint_of, Config};
-use kiss_seq::store::{trace_to, SegId, SegmentInterner, StateId, VisitedTable};
+use kiss_seq::config::Config;
 use kiss_seq::{BoundReason, Budget, CancelToken, EngineStats, ErrorTrace, Meter};
 use kiss_lang::hir::Origin;
 use kiss_lang::Program;

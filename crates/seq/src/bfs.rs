@@ -22,6 +22,7 @@
 use std::collections::VecDeque;
 
 use kiss_exec::step::{self, Fault, Step};
+use kiss_exec::store::{trace_to, SegId, SegmentInterner, StateCapExceeded, StateId, VisitedTable};
 use kiss_exec::{ExecError, Module, TraceStep, Value};
 use kiss_obs::Obs;
 
@@ -29,7 +30,6 @@ use crate::budget::{BoundReason, Budget, Meter};
 use crate::cancel::CancelToken;
 use crate::config::Config;
 use crate::stats::EngineStats;
-use crate::store::{trace_to, SegId, SegmentInterner, StateCapExceeded, StateId, VisitedTable};
 use crate::verdict::{ErrorTrace, Verdict};
 
 /// The search's state storage.

@@ -97,10 +97,15 @@ pub enum BoundReason {
     Memory,
     /// Cancellation was requested (signal, supervisor shutdown).
     Cancelled,
-    /// The state store ran out of dense-id space (a [`crate::store`]
-    /// table exhausted its id range). Distinct from [`BoundReason::States`]: that axis is a
-    /// configured budget, this one is a structural capacity limit.
+    /// The state store ran out of dense-id space (a
+    /// [`kiss_exec::store::VisitedTable`] exhausted its id range).
+    /// Distinct from [`BoundReason::States`]: that axis is a configured
+    /// budget, this one is a structural capacity limit.
     StateCap,
+    /// The program needs what the engine does not model — the summary
+    /// engine's pointer into another function's frame. Not a budget
+    /// axis: another engine can decide the check.
+    Unsupported,
 }
 
 impl BoundReason {
@@ -113,6 +118,7 @@ impl BoundReason {
             BoundReason::Memory => "memory",
             BoundReason::Cancelled => "cancelled",
             BoundReason::StateCap => "state-cap",
+            BoundReason::Unsupported => "unsupported",
         }
     }
 
@@ -125,6 +131,7 @@ impl BoundReason {
             "memory" => BoundReason::Memory,
             "cancelled" => BoundReason::Cancelled,
             "state-cap" => BoundReason::StateCap,
+            "unsupported" => BoundReason::Unsupported,
             _ => return None,
         })
     }
@@ -132,9 +139,10 @@ impl BoundReason {
     /// Whether retrying the same check with a *larger* budget could
     /// plausibly resolve it. Cancellation is not retryable: the
     /// supervisor is shutting down. Neither is a state-cap trip: the
-    /// id space is structural, a bigger budget does not widen it.
+    /// id space is structural, a bigger budget does not widen it; nor
+    /// an unsupported program, which no budget makes supported.
     pub fn retryable(&self) -> bool {
-        !matches!(self, BoundReason::Cancelled | BoundReason::StateCap)
+        !matches!(self, BoundReason::Cancelled | BoundReason::StateCap | BoundReason::Unsupported)
     }
 }
 
@@ -412,6 +420,7 @@ mod tests {
             BoundReason::Memory,
             BoundReason::Cancelled,
             BoundReason::StateCap,
+            BoundReason::Unsupported,
         ] {
             assert_eq!(BoundReason::parse(r.as_str()), Some(r));
         }
@@ -419,11 +428,12 @@ mod tests {
     }
 
     #[test]
-    fn only_cancellation_and_state_cap_are_not_retryable() {
+    fn only_cancellation_state_cap_and_unsupported_are_not_retryable() {
         assert!(BoundReason::Steps.retryable());
         assert!(BoundReason::Deadline.retryable());
         assert!(!BoundReason::Cancelled.retryable());
         assert!(!BoundReason::StateCap.retryable());
+        assert!(!BoundReason::Unsupported.retryable());
     }
 
     #[test]

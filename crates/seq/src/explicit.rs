@@ -13,6 +13,7 @@
 //! rest of a driver harness's heap costs one digest load per chunk.
 
 use kiss_exec::step::{self, Step};
+use kiss_exec::store::{StateCapExceeded, VisitedTable};
 use kiss_exec::{ExecError, Instr, Module, TraceStep};
 use kiss_obs::Obs;
 
@@ -20,7 +21,6 @@ use crate::budget::{BoundReason, Budget, Meter};
 use crate::cancel::CancelToken;
 use crate::config::Config;
 use crate::stats::EngineStats;
-use crate::store::{StateCapExceeded, VisitedTable};
 use crate::verdict::{ErrorTrace, Verdict};
 
 /// The explicit-state checker.

@@ -22,7 +22,9 @@
 //! engine) execute instructions through kiss-exec's one shared
 //! [`kiss_exec::step::step`], on a [`config::Config`]'s single stack; the
 //! summary engine keeps its own stackless interpreter and binds calls
-//! through [`kiss_exec::step::bind_call`].
+//! through [`kiss_exec::step::bind_call`]. All three record their states
+//! in kiss-exec's one state store ([`kiss_exec::store`]), the one the
+//! concurrent explorer uses too.
 
 pub mod bfs;
 pub mod budget;
@@ -30,7 +32,6 @@ pub mod cancel;
 pub mod config;
 pub mod explicit;
 pub mod stats;
-pub mod store;
 pub mod summary;
 pub mod verdict;
 
@@ -39,6 +40,5 @@ pub use budget::{BoundReason, Budget, Meter, Usage};
 pub use cancel::CancelToken;
 pub use explicit::ExplicitChecker;
 pub use stats::EngineStats;
-pub use store::{SegmentInterner, StateCapExceeded, StateId, VisitedTable};
 pub use summary::SummaryChecker;
 pub use verdict::{ErrorTrace, Verdict};

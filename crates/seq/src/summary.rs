@@ -12,12 +12,17 @@
 //! finite-state programs, so iteration terminates.
 //!
 //! Compared to [`crate::explicit`], this engine reports verdicts but
-//! not full traces, and it does not support pointers into a *caller's*
-//! stack frame (the explicit engine does).
+//! not full traces, and it does not support pointers into another
+//! function's stack frame (the explicit engine does). A body's locals
+//! are addressed at its call depth, so a dereference of a caller's
+//! local, or a local address that outlives its body through the exit
+//! state, ends the check inconclusive with
+//! [`BoundReason::Unsupported`] instead of touching the wrong cell.
 
 use std::collections::{BTreeSet, HashMap};
 
 use kiss_exec::step::{bind_call, entry_locals};
+use kiss_exec::store::VisitedTable;
 use kiss_exec::{eval, Addr, Env, ExecError, Instr, Memory, Module, Value};
 use kiss_lang::hir::{FuncId, LocalId, VarRef};
 use kiss_obs::Obs;
@@ -26,7 +31,6 @@ use crate::budget::{BoundReason, Budget, Meter};
 use crate::cancel::CancelToken;
 use crate::config::state_fingerprint;
 use crate::stats::EngineStats;
-use crate::store::VisitedTable;
 use crate::verdict::{ErrorTrace, Verdict};
 
 /// A function entry state: the callee's locals hold its bound
@@ -45,6 +49,19 @@ struct Exit {
     ret: Value,
 }
 
+impl Exit {
+    /// Whether the return value or memory still points into frame
+    /// `depth` or deeper: a local of the returning body, which dies
+    /// with the return.
+    fn holds_local_of(&self, depth: u32) -> bool {
+        let dying =
+            |v: &Value| matches!(v, Value::Ptr(Addr::Local { frame, .. }) if *frame >= depth);
+        dying(&self.ret)
+            || self.mem.globals.iter().any(dying)
+            || self.mem.heap.iter().any(|obj| obj.fields.iter().any(dying))
+    }
+}
+
 /// The summary-based checker.
 #[derive(Debug, Clone)]
 pub struct SummaryChecker<'a> {
@@ -58,6 +75,18 @@ enum Interrupt {
     Fail,
     Runtime(ExecError),
     Budget(BoundReason),
+}
+
+impl From<ExecError> for Interrupt {
+    /// A dangling local here is a pointer into another function's frame
+    /// — [`LocalEnv`] resolves only the body's own — which the entry
+    /// states abstract away: unsupported, not an error of the program.
+    fn from(e: ExecError) -> Self {
+        match e {
+            ExecError::DanglingLocal => Interrupt::Budget(BoundReason::Unsupported),
+            e => Interrupt::Runtime(e),
+        }
+    }
 }
 
 impl<'a> SummaryChecker<'a> {
@@ -167,9 +196,13 @@ struct State {
     pc: usize,
 }
 
+/// A body's view of memory. Its locals' addresses carry its call
+/// depth as their frame, so a pointer into any other frame is told
+/// apart from them.
 struct LocalEnv<'a> {
     module: &'a Module,
     state: &'a mut State,
+    depth: u32,
 }
 
 impl Env for LocalEnv<'_> {
@@ -198,7 +231,7 @@ impl Env for LocalEnv<'_> {
                 .ok_or(ExecError::BadField),
             // The summary engine cannot resolve pointers into other
             // frames: entry states abstract the caller's stack away.
-            Addr::Local { frame: 0, local, .. } => {
+            Addr::Local { frame, local, .. } if frame == self.depth => {
                 self.state.locals.get(local as usize).copied().ok_or(ExecError::DanglingLocal)
             }
             Addr::Local { .. } => Err(ExecError::DanglingLocal),
@@ -220,7 +253,7 @@ impl Env for LocalEnv<'_> {
                     .ok_or(ExecError::BadField)? = val;
                 Ok(())
             }
-            Addr::Local { frame: 0, local, .. } => {
+            Addr::Local { frame, local, .. } if frame == self.depth => {
                 *self.state.locals.get_mut(local as usize).ok_or(ExecError::DanglingLocal)? = val;
                 Ok(())
             }
@@ -230,7 +263,7 @@ impl Env for LocalEnv<'_> {
     fn addr_of_var(&self, v: VarRef) -> Addr {
         match v {
             VarRef::Global(g) => Addr::Global(g),
-            VarRef::Local(LocalId(l)) => Addr::Local { tid: 0, frame: 0, local: l },
+            VarRef::Local(LocalId(l)) => Addr::Local { tid: 0, frame: self.depth, local: l },
         }
     }
     fn malloc(&mut self, sid: kiss_lang::hir::StructId) -> u32 {
@@ -272,6 +305,8 @@ impl Engine<'_> {
     #[allow(clippy::mutable_key_type)]
     fn explore_body(&mut self, key: &Key) -> Result<BTreeSet<Exit>, Interrupt> {
         let initial = State { mem: key.mem.clone(), locals: key.locals.clone(), pc: 0 };
+        // `analyze` pushed this body's key onto the call path.
+        let depth = (self.in_progress.len() - 1) as u32;
 
         let mut exits = BTreeSet::new();
         let mut visited = VisitedTable::new();
@@ -290,20 +325,20 @@ impl Engine<'_> {
                 // clones of Call/NondetJump payloads are hot-loop cost.
                 match &body.instrs[state.pc] {
                     Instr::Assign(place, rv) => {
-                        let mut env = LocalEnv { module: self.module, state: &mut state };
-                        eval::exec_assign(&mut env, place, rv).map_err(Interrupt::Runtime)?;
+                        let mut env = LocalEnv { module: self.module, state: &mut state, depth };
+                        eval::exec_assign(&mut env, place, rv)?;
                         state.pc += 1;
                     }
                     Instr::Assert(cond) => {
-                        let env = LocalEnv { module: self.module, state: &mut state };
-                        match eval::eval_cond(&env, cond).map_err(Interrupt::Runtime)? {
+                        let env = LocalEnv { module: self.module, state: &mut state, depth };
+                        match eval::eval_cond(&env, cond)? {
                             true => state.pc += 1,
                             false => return Err(Interrupt::Fail),
                         }
                     }
                     Instr::Assume(cond) => {
-                        let env = LocalEnv { module: self.module, state: &mut state };
-                        match eval::eval_cond(&env, cond).map_err(Interrupt::Runtime)? {
+                        let env = LocalEnv { module: self.module, state: &mut state, depth };
+                        match eval::eval_cond(&env, cond)? {
                             true => state.pc += 1,
                             false => break 'path,
                         }
@@ -312,9 +347,8 @@ impl Engine<'_> {
                         if !record(&mut visited, &state).map_err(Interrupt::Budget)? {
                             break 'path;
                         }
-                        let env = LocalEnv { module: self.module, state: &mut state };
-                        let (callee, locals) = bind_call(self.module, &env, *target, args)
-                            .map_err(Interrupt::Runtime)?;
+                        let env = LocalEnv { module: self.module, state: &mut state, depth };
+                        let (callee, locals) = bind_call(self.module, &env, *target, args)?;
                         let call_key = Key { func: callee, mem: state.mem.clone(), locals };
                         let call_exits = self.analyze(call_key)?;
                         if call_exits.is_empty() {
@@ -327,20 +361,23 @@ impl Engine<'_> {
                         let first = it.next().expect("nonempty checked");
                         for exit in it {
                             let mut alt = state.clone();
-                            apply_exit(self.module, &mut alt, dest, exit)
-                                .map_err(Interrupt::Runtime)?;
+                            apply_exit(self.module, &mut alt, depth, dest, exit)?;
                             pending.push(alt);
                         }
-                        apply_exit(self.module, &mut state, dest, first)
-                            .map_err(Interrupt::Runtime)?;
+                        apply_exit(self.module, &mut state, depth, dest, first)?;
                     }
                     Instr::Async { .. } => {
                         return Err(Interrupt::Runtime(ExecError::AsyncInSequential));
                     }
                     Instr::Return(op) => {
-                        let env = LocalEnv { module: self.module, state: &mut state };
+                        let env = LocalEnv { module: self.module, state: &mut state, depth };
                         let ret = op.map(|o| eval::eval_operand(&env, &o)).unwrap_or(Value::Null);
-                        exits.insert(Exit { mem: state.mem.clone(), ret });
+                        let exit = Exit { mem: state.mem.clone(), ret };
+                        // `main`'s exit has no caller to read it.
+                        if depth > 0 && exit.holds_local_of(depth) {
+                            return Err(Interrupt::Budget(BoundReason::Unsupported));
+                        }
+                        exits.insert(exit);
                         break 'path;
                     }
                     Instr::Jump(target) => {
@@ -381,12 +418,13 @@ impl Engine<'_> {
 fn apply_exit(
     module: &Module,
     state: &mut State,
+    depth: u32,
     dest: &Option<kiss_lang::hir::Place>,
     exit: Exit,
 ) -> Result<(), ExecError> {
     state.mem = exit.mem;
     if let Some(dest) = dest {
-        let mut env = LocalEnv { module, state };
+        let mut env = LocalEnv { module, state, depth };
         let addr = eval::place_addr(&env, dest)?;
         env.write_addr(addr, exit.ret)?;
     }
@@ -510,6 +548,57 @@ mod tests {
         let v = SummaryChecker::new(&module).with_budget(budget).check();
         let Verdict::ResourceBound { reason, .. } = v else { panic!("{v:?}") };
         assert_eq!(reason, BoundReason::Deadline);
+    }
+
+    #[test]
+    fn pointers_into_a_callers_frame_are_unsupported_not_false_errors() {
+        // The callee's own `y` shares its local index with the caller's
+        // `x`: resolving `p` in the callee's frame would write `y` and
+        // fail the assertion that every other engine proves.
+        let write = "void set(int *p) { int y; y = 0; *p = 5; }
+             void main() { int x; int z; x = 1; set(&x); assert x == 5; }";
+        let read = "int g;
+             void get(int *p) { int y; y = 7; g = *p; }
+             void main() { int x; x = 3; get(&x); assert g == 3; }";
+        for src in [write, read] {
+            let module = Module::lower(parse_and_lower(src).unwrap());
+            assert!(ExplicitChecker::new(&module).check().is_pass(), "{src}");
+            assert!(crate::bfs::BfsChecker::new(&module).check().is_pass(), "{src}");
+            let v = SummaryChecker::new(&module).check();
+            let Verdict::ResourceBound { reason, .. } = v else { panic!("{src}: {v:?}") };
+            assert_eq!(reason, BoundReason::Unsupported, "{src}");
+        }
+    }
+
+    #[test]
+    fn a_local_address_escaping_its_body_is_unsupported() {
+        for src in [
+            "int *leak() { int y; return &y; } void main() { int *p; p = leak(); }",
+            "int *gp; void leak() { int y; gp = &y; } void main() { leak(); }",
+        ] {
+            let v = check(src);
+            let Verdict::ResourceBound { reason, .. } = v else { panic!("{src}: {v:?}") };
+            assert_eq!(reason, BoundReason::Unsupported, "{src}");
+        }
+    }
+
+    #[test]
+    fn pointers_to_a_bodys_own_locals_and_passed_through_ones_still_work() {
+        // Own locals resolve; a caller's pointer may be compared and
+        // handed back without being dereferenced; `main` may leave its
+        // own locals' addresses in memory, since nothing reads its exit.
+        for src in [
+            "void main() { int x; int *p; p = &x; *p = 5; assert x == 5; }",
+            "int f() { int y; int *q; q = &y; *q = 4; return y; }
+             void main() { int x; x = f(); assert x == 4; }",
+            "int *id(int *q) { return q; }
+             bool same(int *a, int *b) { bool r; r = a == b; return r; }
+             void main() { int x; int *p; bool s; p = id(&x); *p = 2; s = same(p, &x);
+                           assert s; assert x == 2; }",
+            "int *gp; void main() { int x; gp = &x; *gp = 1; assert x == 1; }",
+        ] {
+            assert!(check(src).is_pass(), "{src}: {:?}", check(src));
+        }
     }
 
     #[test]

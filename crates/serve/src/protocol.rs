@@ -173,7 +173,7 @@ impl Request {
             Op::Status => ("status", ""),
             Op::Metrics => ("metrics", ""),
         };
-        let (hi, lo) = kiss_seq::config::fingerprint_of(&(
+        let (hi, lo) = kiss_exec::fingerprint_of(&(
             op,
             target,
             self.source.as_str(),
