@@ -20,7 +20,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::fingerprint::fingerprint_of;
+use kiss_lang::fingerprint::fingerprint_of;
 
 const CHUNK_BITS: usize = 3;
 const CHUNK: usize = 1 << CHUNK_BITS;

@@ -19,14 +19,13 @@
 //! [`step::bind_call`].
 //!
 //! Every engine also records its states in the one [`store`], keyed on
-//! fingerprints from the one [`fingerprint::TwoLaneHasher`], which also
+//! fingerprints from the one [`TwoLaneHasher`] (kiss-lang's), which also
 //! digests [`CowVec`]'s chunks.
 
 pub mod cfg;
 pub mod cow;
 pub mod error;
 pub mod eval;
-pub mod fingerprint;
 pub mod step;
 pub mod store;
 pub mod value;
@@ -35,6 +34,6 @@ pub use cfg::{FuncBody, Instr, InstrMeta, Module};
 pub use cow::CowVec;
 pub use error::ExecError;
 pub use eval::{eval_operand, eval_rvalue, exec_assign, place_addr, Env};
-pub use fingerprint::{fingerprint_of, TwoLaneHasher};
+pub use kiss_lang::fingerprint::{fingerprint_of, TwoLaneHasher};
 pub use step::{Fault, Frame, Step, ThreadEnv, TraceStep};
 pub use value::{Addr, HeapObj, Memory, Value};

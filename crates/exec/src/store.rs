@@ -13,7 +13,7 @@
 //! avoids both:
 //!
 //! * [`VisitedTable`] — open addressing keyed *directly* on the
-//!   fingerprint (a [`TwoLaneHasher`](crate::fingerprint::TwoLaneHasher)
+//!   fingerprint (a [`TwoLaneHasher`](crate::TwoLaneHasher)
 //!   output is already avalanche-mixed, so the low bits are the slot
 //!   index) which hands out dense [`StateId`]s in insertion order,
 //!   giving the engines array-indexed parent maps for free;

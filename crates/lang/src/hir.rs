@@ -217,6 +217,50 @@ impl Stmt {
             _ => {}
         }
     }
+
+    /// Whether the statement stores a `malloc` of a struct `pick`
+    /// accepts anywhere but a plain variable, `atomic` bodies included.
+    pub fn mallocs_to_non_var(&self, pick: &impl Fn(StructId) -> bool) -> bool {
+        match &self.kind {
+            StmtKind::Assign(place, Rvalue::Malloc(m)) => pick(*m) && !matches!(place, Place::Var(_)),
+            StmtKind::Seq(ss) | StmtKind::Choice(ss) => ss.iter().any(|s| s.mallocs_to_non_var(pick)),
+            StmtKind::Atomic(b) | StmtKind::Iter(b) => b.mallocs_to_non_var(pick),
+            _ => false,
+        }
+    }
+}
+
+/// The functions `main` can run, indexed by id: `main` and every
+/// function a global initializer names, closed under the direct calls,
+/// `async` targets and function values ([`Stmt::visit_funcs`]) of their
+/// bodies. This is the one reachability rule: the front end lowers in
+/// full only what it reaches, and the transform instruments only that.
+///
+/// `body(f, follow)` supplies function `f`'s body by calling `follow`
+/// on it; it is called once per reached function, so a caller may lower
+/// bodies on demand.
+///
+/// # Errors
+///
+/// Returns the first error `body` returns.
+pub fn reachable_funcs<E>(
+    main: FuncId,
+    globals: &[GlobalDef],
+    func_count: usize,
+    mut body: impl FnMut(FuncId, &mut dyn FnMut(&Stmt)) -> Result<(), E>,
+) -> Result<Vec<bool>, E> {
+    let mut reachable = vec![false; func_count];
+    let mut work = vec![main];
+    work.extend(globals.iter().filter_map(|g| match g.init {
+        Some(Const::Fn(f)) => Some(f),
+        _ => None,
+    }));
+    while let Some(f) = work.pop() {
+        if !std::mem::replace(&mut reachable[f.0 as usize], true) {
+            body(f, &mut |s| s.visit_funcs(&mut |g, _| work.push(g)))?;
+        }
+    }
+    Ok(reachable)
 }
 
 /// How a statement names a function (see [`Stmt::visit_funcs`]).

@@ -14,7 +14,13 @@ use crate::{LangError, LangErrorKind};
 /// Returns a [`LangError`] on unknown characters, malformed numbers, or
 /// unterminated block comments.
 pub fn lex(src: &str) -> Result<Vec<Token>, LangError> {
-    Lexer::new(src).run()
+    lex_at(src, Span::new(1, 1))
+}
+
+/// Lexes `src`, a slice of a larger source that starts at `at` there,
+/// so every token carries its position in the whole source.
+pub(crate) fn lex_at(src: &str, at: Span) -> Result<Vec<Token>, LangError> {
+    Lexer { src, pos: 0, line: at.line, col: at.col }.run()
 }
 
 struct Lexer<'a> {
@@ -27,10 +33,6 @@ struct Lexer<'a> {
 }
 
 impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Lexer { src, pos: 0, line: 1, col: 1 }
-    }
-
     fn peek(&self) -> Option<u8> {
         self.src.as_bytes().get(self.pos).copied()
     }

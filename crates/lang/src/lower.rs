@@ -32,74 +32,135 @@ use crate::{LangError, LangErrorKind};
 /// variables, arity mismatches on direct calls, duplicate definitions,
 /// and a missing `main`.
 pub fn lower(ast: &ast::Program) -> Result<hir::Program, LangError> {
-    let mut program = hir::Program::default();
+    let decls = Decls::new(ast)?;
+    let funcs = ast.funcs.iter().map(|f| decls.lower_func(f, &f.locals, &f.body)).collect::<Result<_, _>>()?;
+    decls.finish(funcs)
+}
 
-    // Structs.
-    let mut struct_ids: HashMap<String, hir::StructId> = HashMap::new();
-    for s in &ast.structs {
-        if struct_ids.contains_key(&s.name) {
-            return Err(err(format!("duplicate struct `{}`", s.name), s.span));
-        }
-        let mut fields = Vec::new();
-        for f in &s.fields {
-            if fields.iter().any(|(n, _): &(String, _)| n == &f.name) {
-                return Err(err(format!("duplicate field `{}` in struct `{}`", f.name, s.name), f.span));
+/// A program's declarations, lowered: its structs, its globals with
+/// their initializers, and its function names and signatures. Every
+/// function body lowers against these alone, so the front end can
+/// lower bodies one at a time and in any order.
+pub(crate) struct Decls<'a> {
+    program: hir::Program,
+    env: Env<'a>,
+}
+
+impl<'a> Decls<'a> {
+    /// Lowers the declarations of `ast`, whose functions' bodies may be
+    /// empty (they are lowered by [`Decls::lower_func`]).
+    pub(crate) fn new(ast: &'a ast::Program) -> Result<Self, LangError> {
+        let mut program = hir::Program::default();
+
+        // Structs.
+        let mut struct_ids: HashMap<String, hir::StructId> = HashMap::new();
+        for s in &ast.structs {
+            if struct_ids.contains_key(&s.name) {
+                return Err(err(format!("duplicate struct `{}`", s.name), s.span));
             }
-            fields.push((f.name.clone(), f.ty.clone()));
+            let mut fields = Vec::new();
+            for f in &s.fields {
+                if fields.iter().any(|(n, _): &(String, _)| n == &f.name) {
+                    return Err(err(format!("duplicate field `{}` in struct `{}`", f.name, s.name), f.span));
+                }
+                fields.push((f.name.clone(), f.ty.clone()));
+            }
+            struct_ids.insert(s.name.clone(), hir::StructId(program.structs.len() as u32));
+            program.structs.push(hir::StructDef { name: s.name.clone(), fields });
         }
-        struct_ids.insert(s.name.clone(), hir::StructId(program.structs.len() as u32));
-        program.structs.push(hir::StructDef { name: s.name.clone(), fields });
+
+        // Globals.
+        let mut global_ids: HashMap<String, hir::GlobalId> = HashMap::new();
+        // Function signatures before globals' initializers (a global may be
+        // initialized to a function name).
+        let mut func_ids: HashMap<String, hir::FuncId> = HashMap::new();
+        for g in &ast.globals {
+            if global_ids.contains_key(&g.name) {
+                return Err(err(format!("duplicate global `{}`", g.name), g.span));
+            }
+            let id = program.add_global(hir::GlobalDef {
+                name: g.name.clone(),
+                ty: Some(g.ty.clone()),
+                init: None,
+            });
+            global_ids.insert(g.name.clone(), id);
+        }
+        for f in &ast.funcs {
+            if func_ids.contains_key(&f.name) {
+                return Err(err(format!("duplicate function `{}`", f.name), f.span));
+            }
+            if global_ids.contains_key(&f.name) {
+                return Err(err(format!("`{}` is defined as both a global and a function", f.name), f.span));
+            }
+            func_ids.insert(f.name.clone(), hir::FuncId(func_ids.len() as u32));
+        }
+
+        // Global initializers must be constants (possibly negated integers
+        // or function names).
+        for (idx, g) in ast.globals.iter().enumerate() {
+            if let Some(init) = &g.init {
+                let c = const_expr(init, &func_ids)
+                    .ok_or_else(|| err(format!("initializer of `{}` is not a constant", g.name), g.span))?;
+                program.globals[idx].init = Some(c);
+            }
+        }
+
+        let env = Env { struct_ids, global_ids, func_ids, globals: &ast.globals, funcs: &ast.funcs };
+        Ok(Decls { program, env })
     }
 
-    // Globals.
-    let mut global_ids: HashMap<String, hir::GlobalId> = HashMap::new();
-    // Function signatures before globals' initializers (a global may be
-    // initialized to a function name).
-    let mut func_ids: HashMap<String, hir::FuncId> = HashMap::new();
-    for g in &ast.globals {
-        if global_ids.contains_key(&g.name) {
-            return Err(err(format!("duplicate global `{}`", g.name), g.span));
-        }
-        let id = program.add_global(hir::GlobalDef {
-            name: g.name.clone(),
-            ty: Some(g.ty.clone()),
-            init: None,
-        });
-        global_ids.insert(g.name.clone(), id);
-    }
-    for f in &ast.funcs {
-        if func_ids.contains_key(&f.name) {
-            return Err(err(format!("duplicate function `{}`", f.name), f.span));
-        }
-        if global_ids.contains_key(&f.name) {
-            return Err(err(format!("`{}` is defined as both a global and a function", f.name), f.span));
-        }
-        func_ids.insert(f.name.clone(), hir::FuncId(func_ids.len() as u32));
+    /// The lowered globals, initializers included.
+    pub(crate) fn globals(&self) -> &[hir::GlobalDef] {
+        &self.program.globals
     }
 
-    // Global initializers must be constants (possibly negated integers
-    // or function names).
-    for (idx, g) in ast.globals.iter().enumerate() {
-        if let Some(init) = &g.init {
-            let c = const_expr(init, &func_ids)
-                .ok_or_else(|| err(format!("initializer of `{}` is not a constant", g.name), g.span))?;
-            program.globals[idx].init = Some(c);
+    /// `main`'s id.
+    ///
+    /// # Errors
+    ///
+    /// Fails when there is no `main` or it takes parameters.
+    pub(crate) fn main(&self) -> Result<hir::FuncId, LangError> {
+        match self.env.func_ids.get("main") {
+            Some(&id) if self.env.funcs[id.0 as usize].params.is_empty() => Ok(id),
+            Some(_) => Err(err("`main` must take no parameters", Span::synthetic())),
+            None => Err(err("program has no `main` function", Span::synthetic())),
         }
     }
 
-    let env = Env { struct_ids, global_ids, func_ids, globals: &ast.globals, funcs: &ast.funcs };
-
-    for f in &ast.funcs {
-        let lowered = FnCx::new(&env, &program, f)?.lower_func(f)?;
-        program.funcs.push(lowered);
+    /// Lowers one function: `header` from the declarations, with the
+    /// local declarations and statements of its body.
+    pub(crate) fn lower_func(
+        &self,
+        header: &ast::FuncDef,
+        locals: &[ast::VarDecl],
+        body: &[ast::Stmt],
+    ) -> Result<hir::FuncDef, LangError> {
+        let mut cx = FnCx::new(&self.env, &self.program, header, locals)?;
+        cx.func.body = cx.lower_stmts(body)?;
+        Ok(cx.func)
     }
 
-    match program.func_by_name("main") {
-        Some(id) if program.func(id).param_count == 0 => program.main = id,
-        Some(_) => return Err(err("`main` must take no parameters", Span::synthetic())),
-        None => return Err(err("program has no `main` function", Span::synthetic())),
+    /// The body-less stand-in for a function nothing runs: its name,
+    /// its parameters as its only locals, and a `skip` body.
+    pub(crate) fn stub(header: &ast::FuncDef) -> hir::FuncDef {
+        hir::FuncDef {
+            name: header.name.clone(),
+            param_count: header.params.len() as u32,
+            locals: header
+                .params
+                .iter()
+                .map(|p| hir::LocalDef { name: p.name.clone(), ty: Some(p.ty.clone()) })
+                .collect(),
+            ret: header.ret.clone(),
+            body: Stmt::skip(),
+        }
     }
-    Ok(program)
+
+    /// The program with `funcs`, one per declared function in order.
+    pub(crate) fn finish(self, funcs: Vec<hir::FuncDef>) -> Result<hir::Program, LangError> {
+        let main = self.main()?;
+        Ok(hir::Program { funcs, main, ..self.program })
+    }
 }
 
 /// Evaluates an initializer expression to a constant, if it is one.
@@ -141,10 +202,15 @@ struct FnCx<'a> {
 }
 
 impl<'a> FnCx<'a> {
-    fn new(env: &'a Env<'a>, program: &'a hir::Program, f: &ast::FuncDef) -> Result<Self, LangError> {
+    fn new(
+        env: &'a Env<'a>,
+        program: &'a hir::Program,
+        f: &ast::FuncDef,
+        decls: &[ast::VarDecl],
+    ) -> Result<Self, LangError> {
         let mut local_ids = HashMap::new();
         let mut locals = Vec::new();
-        for decl in f.params.iter().chain(&f.locals) {
+        for decl in f.params.iter().chain(decls) {
             if local_ids.contains_key(&decl.name) {
                 return Err(err(format!("duplicate local `{}` in `{}`", decl.name, f.name), decl.span));
             }
@@ -164,12 +230,6 @@ impl<'a> FnCx<'a> {
             },
             in_atomic: false,
         })
-    }
-
-    fn lower_func(mut self, f: &ast::FuncDef) -> Result<hir::FuncDef, LangError> {
-        let body = self.lower_stmts(&f.body)?;
-        self.func.body = body;
-        Ok(self.func)
     }
 
     // ---- name resolution --------------------------------------------

@@ -5,6 +5,13 @@ use crate::span::Span;
 use crate::token::{Tok, Token};
 use crate::{LangError, LangErrorKind};
 
+/// A top-level declaration: a function's is its header alone.
+pub(crate) enum Decl {
+    Struct(StructDef),
+    Global(VarDecl),
+    Func(FuncDef),
+}
+
 /// The parser state: a token stream with one-token lookahead helpers.
 pub struct Parser {
     tokens: Vec<Token>,
@@ -69,35 +76,62 @@ impl Parser {
     pub fn parse_program(mut self) -> Result<Program, LangError> {
         let mut program = Program::default();
         while self.peek() != &Tok::Eof {
-            if self.peek() == &Tok::KwStruct {
-                program.structs.push(self.parse_struct()?);
-                continue;
-            }
-            // A global declaration or a function definition: both start
-            // with a type (or `void`), then a name.
-            let span = self.span();
-            let ret = if self.peek() == &Tok::KwVoid {
-                self.bump();
-                None
-            } else {
-                Some(self.parse_type()?)
-            };
-            let name = self.eat_ident()?;
-            if self.peek() == &Tok::LParen {
-                program.funcs.push(self.parse_func(ret, name, span)?);
-            } else {
-                let ty = ret.ok_or_else(|| self.error("global variables cannot have type `void`"))?;
-                let init = if self.peek() == &Tok::Assign {
-                    self.bump();
-                    Some(self.parse_expr()?)
-                } else {
-                    None
-                };
-                self.eat(&Tok::Semi)?;
-                program.globals.push(VarDecl { name, ty, init, span });
+            match self.parse_decl()? {
+                Decl::Struct(s) => program.structs.push(s),
+                Decl::Global(g) => program.globals.push(g),
+                Decl::Func(mut f) => {
+                    (f.locals, f.body) = self.parse_body()?;
+                    program.funcs.push(f);
+                }
             }
         }
         Ok(program)
+    }
+
+    /// Parses the whole stream as one declaration item: a struct, a
+    /// global, or a function header whose body is a separate item.
+    pub(crate) fn parse_decl_item(mut self) -> Result<Decl, LangError> {
+        let decl = self.parse_decl()?;
+        self.eat(&Tok::Eof)?;
+        Ok(decl)
+    }
+
+    /// Parses the whole stream as one function body item: its local
+    /// declarations and its statements.
+    pub(crate) fn parse_body_item(mut self) -> Result<(Vec<VarDecl>, Vec<Stmt>), LangError> {
+        let body = self.parse_body()?;
+        self.eat(&Tok::Eof)?;
+        Ok(body)
+    }
+
+    /// One top-level declaration; a function stops before its body.
+    fn parse_decl(&mut self) -> Result<Decl, LangError> {
+        if self.peek() == &Tok::KwStruct {
+            return Ok(Decl::Struct(self.parse_struct()?));
+        }
+        // A global declaration or a function definition: both start
+        // with a type (or `void`), then a name.
+        let span = self.span();
+        let ret = if self.peek() == &Tok::KwVoid {
+            self.bump();
+            None
+        } else {
+            Some(self.parse_type()?)
+        };
+        let name = self.eat_ident()?;
+        if self.peek() == &Tok::LParen {
+            let params = self.parse_params()?;
+            return Ok(Decl::Func(FuncDef { name, ret, params, locals: Vec::new(), body: Vec::new(), span }));
+        }
+        let ty = ret.ok_or_else(|| self.error("global variables cannot have type `void`"))?;
+        let init = if self.peek() == &Tok::Assign {
+            self.bump();
+            Some(self.parse_expr()?)
+        } else {
+            None
+        };
+        self.eat(&Tok::Semi)?;
+        Ok(Decl::Global(VarDecl { name, ty, init, span }))
     }
 
     fn parse_struct(&mut self) -> Result<StructDef, LangError> {
@@ -149,7 +183,7 @@ impl Parser {
         Ok(VarDecl { name, ty, init: None, span })
     }
 
-    fn parse_func(&mut self, ret: Option<Type>, name: String, span: Span) -> Result<FuncDef, LangError> {
+    fn parse_params(&mut self) -> Result<Vec<VarDecl>, LangError> {
         self.eat(&Tok::LParen)?;
         let mut params = Vec::new();
         if self.peek() != &Tok::RParen {
@@ -166,6 +200,10 @@ impl Parser {
             }
         }
         self.eat(&Tok::RParen)?;
+        Ok(params)
+    }
+
+    fn parse_body(&mut self) -> Result<(Vec<VarDecl>, Vec<Stmt>), LangError> {
         self.eat(&Tok::LBrace)?;
         // Local declarations come first, C89 style.
         let mut locals = Vec::new();
@@ -174,7 +212,7 @@ impl Parser {
         }
         let body = self.parse_stmts_until_rbrace()?;
         self.eat(&Tok::RBrace)?;
-        Ok(FuncDef { name, ret, params, locals, body, span })
+        Ok((locals, body))
     }
 
     /// Does the upcoming token sequence start a local declaration rather

@@ -624,6 +624,14 @@ pub struct ServeSnapshot {
     pub shed: u64,
     /// Injected faults fired since start (kiss-fault).
     pub faults: u64,
+    /// Function bodies the misses' front end lexed, parsed and lowered
+    /// in full.
+    pub bodies_lowered: u64,
+    /// Bodies `main` did not reach that the front end stubbed because
+    /// the daemon had validated them before (`kiss_lang::ValidBodies`).
+    pub bodies_stubbed: u64,
+    /// Times that set of validated bodies was cleared on filling up.
+    pub body_set_clears: u64,
     /// Per-operation latency histograms (milliseconds), keyed by a
     /// stable lowercase name (`check`, `hit`), sorted by name.
     pub latency: Vec<(String, Histogram)>,
@@ -660,6 +668,10 @@ impl ServeSnapshot {
         out.push_str(&format!(
             ",\"requests\":{},\"hits\":{},\"misses\":{},\"shed\":{},\"faults\":{}",
             self.requests, self.hits, self.misses, self.shed, self.faults,
+        ));
+        out.push_str(&format!(
+            ",\"bodies_lowered\":{},\"bodies_stubbed\":{},\"body_set_clears\":{}",
+            self.bodies_lowered, self.bodies_stubbed, self.body_set_clears,
         ));
         out.push_str(",\"latency\":{");
         for (i, (name, hist)) in self.latency.iter().enumerate() {
@@ -706,6 +718,9 @@ impl ServeSnapshot {
             misses: num("misses"),
             shed: num("shed"),
             faults: num("faults"),
+            bodies_lowered: num("bodies_lowered"),
+            bodies_stubbed: num("bodies_stubbed"),
+            body_set_clears: num("body_set_clears"),
             latency,
         })
     }
@@ -740,6 +755,10 @@ impl ServeSnapshot {
         out.push_str(&format!(
             "shards    : n={} acquires={} contended={}\n",
             self.cache_shards, self.shard_acquires, self.shard_contended,
+        ));
+        out.push_str(&format!(
+            "bodies    : lowered={} stubbed={} set-clears={}\n",
+            self.bodies_lowered, self.bodies_stubbed, self.body_set_clears,
         ));
         out.push_str(&format!("faults    : fired={}\n", self.faults));
         for (name, hist) in &self.latency {
@@ -969,6 +988,9 @@ mod tests {
             misses: 39,
             shed: 1,
             faults: 2,
+            bodies_lowered: 12,
+            bodies_stubbed: 340,
+            body_set_clears: 1,
             latency: vec![
                 ("check".to_string(), Histogram::from_samples([5, 9, 120])),
                 ("hit".to_string(), Histogram::from_samples([0, 1])),
@@ -981,6 +1003,7 @@ mod tests {
         assert!(view.contains("open=5 peak=9 accepted=31 admission-waits=4"), "{view}");
         assert!(view.contains("total=100 hits=60 misses=39 shed=1 batches=6"), "{view}");
         assert!(view.contains("n=16 acquires=210 contended=1"), "{view}");
+        assert!(view.contains("lowered=12 stubbed=340 set-clears=1"), "{view}");
         assert!(view.contains("lat check : n=3"), "{view}");
         // Absent fields default; an empty object parses to zeroes.
         let empty = ServeSnapshot::parse("{}").unwrap();

@@ -36,6 +36,13 @@
 //! writes, admission failures, and worker panics — a worker panic
 //! lands in the supervisor's `catch_unwind` and comes back as a
 //! `crashed` verdict, which is never cached.
+//!
+//! A miss's front end runs through one [`ValidBodies`] set shared by the
+//! workers: a race sweep sends each driver once per field with only the
+//! harness `main` changed, so after the first field the bodies `main`
+//! does not reach are stubbed instead of lexed, parsed and lowered
+//! again. Verdicts are the same either way: the transform stubs every
+//! unreachable function too.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -49,6 +56,7 @@ use std::time::{Duration, Instant};
 
 use kiss_core::{Kiss, KissOutcome, RaceTarget, Supervised, Supervisor};
 use kiss_fault::Action;
+use kiss_lang::ValidBodies;
 use kiss_obs::span::next_span_id;
 use kiss_obs::{AtomicHistogram, Event, Gauge, Obs, Span, TraceId};
 use kiss_seq::{BoundReason, Budget, CancelToken};
@@ -432,6 +440,8 @@ struct Shared<'a> {
     queue: &'a Queue,
     cache: &'a ResultCache,
     metrics: &'a LiveMetrics,
+    /// Function bodies validated so far, for every worker's front end.
+    bodies: &'a ValidBodies,
     cfg: &'a ServeConfig,
     started: Instant,
 }
@@ -527,6 +537,7 @@ impl Server {
         };
         let queue = Queue::new(self.cfg.max_queue);
         let metrics = LiveMetrics::default();
+        let bodies = ValidBodies::new();
         let label_seq = AtomicU64::new(0);
         let cfg = &self.cfg;
         let io_threads = cfg.io_threads.max(1);
@@ -543,6 +554,7 @@ impl Server {
             queue: &queue,
             cache: &cache,
             metrics: &metrics,
+            bodies: &bodies,
             cfg,
             started: Instant::now(),
         };
@@ -1020,7 +1032,7 @@ fn handle_request(
     shared: &Shared<'_>,
     waiting: &mut VecDeque<Waiting>,
 ) {
-    let Shared { queue, cache, metrics, cfg, started } = *shared;
+    let Shared { queue, cache, metrics, bodies, cfg, started } = *shared;
     // Status is control-plane: answered inline, never queued, and kept
     // out of the request/cache accounting so the balance equation
     // (requests = hits + misses + shed) only covers checking ops.
@@ -1054,6 +1066,7 @@ fn handle_request(
     // numbers it reports.
     if request.op == Op::Metrics {
         let (shard_acquires, shard_contended) = cache.lock_stats();
+        let counts = bodies.counts();
         let snap = ServeSnapshot {
             uptime_ms: started.elapsed().as_millis() as u64,
             queue_depth: queue.depth(),
@@ -1076,6 +1089,9 @@ fn handle_request(
             misses: metrics.misses.load(Ordering::SeqCst),
             shed: metrics.shed.load(Ordering::SeqCst),
             faults: kiss_fault::total_fired(),
+            bodies_lowered: counts.lowered,
+            bodies_stubbed: counts.stubbed,
+            body_set_clears: counts.clears,
             latency: vec![
                 ("check".to_string(), metrics.check_ms.snapshot()),
                 ("hit".to_string(), metrics.hit_ms.snapshot()),
@@ -1183,7 +1199,7 @@ fn handle_request(
 
 /// Pops jobs until the queue closes: execute, cache, answer.
 fn worker_loop(shared: &Shared<'_>, seq: &AtomicU64) {
-    let Shared { queue, cache, metrics, cfg, .. } = *shared;
+    let Shared { queue, cache, metrics, bodies, cfg, .. } = *shared;
     while let Some(job) = queue.pop() {
         // The `queued` span (opened at admission) ends here: its wall
         // time is exactly the queue wait.
@@ -1196,7 +1212,7 @@ fn worker_loop(shared: &Shared<'_>, seq: &AtomicU64) {
         metrics.in_flight.inc();
         let check_span = Span::open(&cfg.obs, job.trace, job.queued_span, "check");
         let check_id = check_span.id();
-        let (verdict, cacheable) = execute(&job.request, cfg, seq, job.trace, check_id);
+        let (verdict, cacheable) = execute(&job.request, cfg, bodies, seq, job.trace, check_id);
         check_span.close();
         metrics.in_flight.dec();
         if cacheable {
@@ -1232,6 +1248,7 @@ fn worker_loop(shared: &Shared<'_>, seq: &AtomicU64) {
 fn execute(
     request: &Request,
     cfg: &ServeConfig,
+    bodies: &ValidBodies,
     seq: &AtomicU64,
     trace: TraceId,
     parent: u64,
@@ -1242,7 +1259,10 @@ fn execute(
         steps: 0,
         states: 0,
     };
-    let program = match kiss_lang::parse_and_lower(&request.source) {
+    let span = Span::open(&cfg.obs, trace, parent, "parse");
+    let parsed = bodies.parse_and_lower(&request.source);
+    span.close();
+    let program = match parsed {
         Ok(program) => program,
         Err(e) => return (error(format!("parse: {e}")), false),
     };
@@ -1472,7 +1492,8 @@ mod tests {
     fn execute_answers_check_and_race_requests() {
         let cfg = ServeConfig { budget: Budget::small(), ..ServeConfig::default() };
         let seq = AtomicU64::new(0);
-        let run = |req: &Request| execute(req, &cfg, &seq, TraceId::NONE, 0);
+        let bodies = ValidBodies::new();
+        let run = |req: &Request| execute(req, &cfg, &bodies, &seq, TraceId::NONE, 0);
         let req = Request::check("t", "int x;\nvoid main() { x = 1; assert x == 1; }");
         let (verdict, cacheable) = run(&req);
         assert_eq!(verdict.verdict, "pass");
@@ -1501,7 +1522,8 @@ mod tests {
     fn execute_answers_ltl_requests() {
         let cfg = ServeConfig { budget: Budget::small(), ..ServeConfig::default() };
         let seq = AtomicU64::new(0);
-        let run = |req: &Request| execute(req, &cfg, &seq, TraceId::NONE, 0);
+        let bodies = ValidBodies::new();
+        let run = |req: &Request| execute(req, &cfg, &bodies, &seq, TraceId::NONE, 0);
         let stuck = "int locked;\nvoid worker() { skip; }\n\
                      void main() { locked = 1; async worker(); while (locked == 1) { skip; } }";
         let released = "int locked;\nvoid worker() { locked = 0; }\n\
