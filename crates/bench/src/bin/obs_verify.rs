@@ -240,8 +240,8 @@ fn verify(trace: &str, metrics: Option<&str>) -> Result<String, String> {
                     }
                 } else {
                     entry.1 += 1;
-                    if v.get("wall_ms").and_then(Json::as_u64).is_none() {
-                        return Err(format!("line {n}: span_close without wall_ms"));
+                    if v.get("wall_us").and_then(Json::as_u64).is_none() {
+                        return Err(format!("line {n}: span_close without wall_us"));
                     }
                 }
             }
@@ -581,7 +581,7 @@ mod tests {
                 trace: trace.to_string(),
                 span,
                 name: name.to_string(),
-                wall_ms: 1,
+                wall_us: 1,
             },
         ]
     }

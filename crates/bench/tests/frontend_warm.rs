@@ -9,7 +9,7 @@
 mod mutate;
 
 use kiss_core::transform::{transform, RaceTarget, TransformConfig};
-use kiss_lang::hir::StmtKind;
+use kiss_lang::hir::{Const, StmtKind};
 use kiss_lang::pretty::print_program;
 use kiss_lang::{parse_and_lower, Program, ValidBodies};
 
@@ -147,6 +147,73 @@ fn a_warm_front_end_reports_a_new_error_in_an_unreachable_body_exactly() {
     let lowered = bodies.counts().lowered;
     assert!(bodies.parse_and_lower(bad).is_err());
     assert_eq!(bodies.counts().lowered, lowered);
+}
+
+#[test]
+fn the_same_declarations_at_shifted_positions_are_lowered_again() {
+    let src = "struct D { int f; }\nD *e;\nvoid f() { skip; }\nint g = 1;\n\
+               void main() { e = malloc(D); e->f = g; f(); }";
+    // The whole source moved, and only what follows a longer body.
+    let moved = format!("\n  {src}");
+    let longer = src.replace("{ skip; }", "{\n    skip;\n}");
+    let bodies = ValidBodies::new();
+    for _ in 0..2 {
+        assert_eq!(
+            bodies.parse_and_lower(src).unwrap(),
+            parse_and_lower(src).unwrap()
+        );
+    }
+    assert_eq!(bodies.counts().decl_sets_reused, 1);
+    for shifted in [&moved, &longer] {
+        assert_eq!(
+            bodies.parse_and_lower(shifted).unwrap(),
+            parse_and_lower(shifted).unwrap()
+        );
+        assert_eq!(
+            bodies.counts().decl_sets_reused,
+            1,
+            "declarations lowered at other positions were reused for\n{shifted}"
+        );
+    }
+}
+
+#[test]
+fn a_new_error_in_a_reached_body_after_a_reused_declaration_set_is_exact() {
+    let good = "int g;\nvoid main() { g = 1; }";
+    let bodies = ValidBodies::new();
+    bodies.parse_and_lower(good).unwrap();
+    for (bad, message) in [
+        (
+            "int g;\nvoid main() { g = nope; }",
+            "lowering error at 2:15: unknown variable `nope`",
+        ),
+        (
+            "int g;\nvoid main() { g = ; }",
+            "parse error at 2:19: expected an expression, found `;`",
+        ),
+    ] {
+        let reused = bodies.counts().decl_sets_reused;
+        let err = bodies.parse_and_lower(bad).unwrap_err();
+        assert_eq!(bodies.counts().decl_sets_reused, reused + 1, "{bad}");
+        assert_eq!(err.to_string(), message);
+        assert_eq!(err, parse_and_lower(bad).unwrap_err());
+    }
+    assert_eq!(
+        bodies.parse_and_lower(good).unwrap(),
+        parse_and_lower(good).unwrap()
+    );
+}
+
+#[test]
+fn a_changed_global_initializer_misses_the_declaration_sets() {
+    let one = "int g = 1;\nvoid main() { assert g == 1; }";
+    let two = "int g = 2;\nvoid main() { assert g == 1; }";
+    let bodies = ValidBodies::new();
+    bodies.parse_and_lower(one).unwrap();
+    let warm = bodies.parse_and_lower(two).unwrap();
+    assert_eq!(bodies.counts().decl_sets_reused, 0);
+    assert_eq!(warm, parse_and_lower(two).unwrap());
+    assert_eq!(warm.globals[0].init, Some(Const::Int(2)));
 }
 
 /// `program` with function `name` stubbed the way the transform stubs

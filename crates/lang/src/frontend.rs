@@ -6,11 +6,18 @@
 //! token boundaries; when it is unsure (unbalanced braces, an
 //! unterminated comment) the whole source is one item. The
 //! declarations — structs, globals and function headers — are lexed,
-//! parsed and lowered on every call, because they fix name resolution.
-//! Then the bodies `main` reaches ([`reachable_funcs`]) are lexed,
-//! parsed and lowered at their real positions, so spans, race sites
-//! and trace mapping are those of a whole-source parse. Every other body
-//! is lowered in full too, unless a [`ValidBodies`] set remembers it.
+//! parsed and lowered first, because they fix name resolution. Then the
+//! bodies `main` reaches ([`reachable_funcs`]) are lexed, parsed and
+//! lowered at their real positions, so spans, race sites and trace
+//! mapping are those of a whole-source parse. Every other body is
+//! lowered in full too, unless a [`ValidBodies`] memo remembers it.
+//!
+//! The memo also keeps each lowered declaration set, keyed by the
+//! [`TwoLaneHasher`] digest of every item's declaration text and its
+//! position (the header AST it owns carries spans). A race sweep sends a
+//! driver once per field with only the harness `main` changed, so a
+//! later field finds its declarations lowered and goes straight to the
+//! bodies.
 //!
 //! Whether a body lexes, parses, lowers and passes well-formedness
 //! depends only on its bytes and the declarations: positions never
@@ -44,10 +51,11 @@
 //! well-formedness, each the first in file order. Nothing is remembered
 //! from a failed call.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::fingerprint::{fingerprint_of, TwoLaneHasher};
 use crate::hir::{reachable_funcs, FuncId, Program};
@@ -55,21 +63,44 @@ use crate::items::{self, Item};
 use crate::lexer::lex_at;
 use crate::lower::{self, Decls};
 use crate::parser::{Decl, Parser};
+use crate::span::Span;
 use crate::{ast, parse_program, wf, LangError};
 
-/// Bodies validated so far, shared by every caller (the serve daemon's
-/// workers share one), and counts of what they saved.
+/// What the front end has validated so far, shared by every caller
+/// (the serve daemon's workers share one), and counts of what it saved:
+/// the keys of bodies validated under their declarations, and the
+/// lowered declaration sets themselves.
 ///
-/// It holds at most [`ValidBodies::CAPACITY`] keys of 16 bytes and is
-/// cleared when full, so its worst case is about 1.1 MB: 32,768 keys in
-/// a hash table of 65,536 slots of 17 bytes (key plus control byte).
-/// The 921 served race checks of the driver corpora hold about 2,700.
+/// It holds at most [`ValidBodies::CAPACITY`] slots and is cleared when
+/// full. A body key takes one slot; a declaration set takes one slot per
+/// 8 bytes of its declaration text, plus one, and a set larger than the
+/// whole memo is not kept. Filled with body keys, the memo holds about
+/// 1.1 MB: 32,768 keys of 16 bytes in a hash table of 65,536 slots of
+/// 17 bytes (key plus control byte). Filled with declaration sets, it
+/// holds at most 256 KiB of declaration text lowered, about 12 MB at the
+/// 47 bytes of header AST and lowered declarations that one byte of the
+/// densest declarations (`int ab;` after `int ac;`) allocates. The 921
+/// served race checks of the driver corpora remember 54 declaration
+/// sets of 103 KB of text in 2.1 MB (about 21 bytes a byte) and about
+/// 2,700 body keys: roughly 16,000 slots.
 #[derive(Debug, Default)]
 pub struct ValidBodies {
-    keys: Mutex<HashSet<(u64, u64)>>,
+    memo: Mutex<Memo>,
     lowered: AtomicU64,
     stubbed: AtomicU64,
+    reused: AtomicU64,
     clears: AtomicU64,
+}
+
+#[derive(Debug, Default)]
+struct Memo {
+    /// Keys of bodies validated under their declarations.
+    bodies: HashSet<(u64, u64)>,
+    /// Lowered declaration sets, by every item's declaration text and
+    /// position.
+    decls: HashMap<(u64, u64), Arc<Decls>>,
+    /// Slots taken.
+    slots: usize,
 }
 
 /// What a [`ValidBodies`] set saved so far.
@@ -79,12 +110,14 @@ pub struct BodyCounts {
     pub lowered: u64,
     /// Unreached bodies stubbed because the set remembered them.
     pub stubbed: u64,
+    /// Calls that took their lowered declarations from the set.
+    pub decl_sets_reused: u64,
     /// Times the set was cleared on reaching its capacity.
     pub clears: u64,
 }
 
 impl ValidBodies {
-    /// The most keys the set holds before it is cleared.
+    /// The most slots the memo holds before it is cleared.
     pub const CAPACITY: usize = 1 << 15;
 
     /// An empty set.
@@ -92,9 +125,11 @@ impl ValidBodies {
         ValidBodies::default()
     }
 
-    /// [`parse_and_lower`](crate::parse_and_lower), stubbing the bodies
-    /// `main` does not reach that this set remembers as valid under the
-    /// same declarations, and remembering every body it validates.
+    /// [`parse_and_lower`](crate::parse_and_lower), reusing the lowered
+    /// declarations when this set remembers the same declaration items
+    /// at the same positions, stubbing the bodies `main` does not reach
+    /// that it remembers as valid under the same declarations, and
+    /// remembering every body and declaration set it validates.
     ///
     /// # Errors
     ///
@@ -108,16 +143,30 @@ impl ValidBodies {
         BodyCounts {
             lowered: self.lowered.load(Ordering::Relaxed),
             stubbed: self.stubbed.load(Ordering::Relaxed),
+            decl_sets_reused: self.reused.load(Ordering::Relaxed),
             clears: self.clears.load(Ordering::Relaxed),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashSet<(u64, u64)>> {
-        // Every update, an insert or a clear, leaves the set valid, so
+    fn lock(&self) -> std::sync::MutexGuard<'_, Memo> {
+        // Every update, an insert or a clear, leaves the memo valid, so
         // the guard of a poisoned lock is safe to take over.
-        self.keys
+        self.memo
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+}
+
+impl Memo {
+    /// Takes `n` slots, clearing the memo first when they do not fit.
+    /// Returns whether it cleared.
+    fn take(&mut self, n: usize) -> bool {
+        let clear = self.slots + n > ValidBodies::CAPACITY;
+        if clear {
+            *self = Memo::default();
+        }
+        self.slots += n;
+        clear
     }
 }
 
@@ -134,53 +183,96 @@ pub(crate) fn front_end(src: &str, valid: Option<&ValidBodies>) -> Result<Progra
     Ok(program)
 }
 
-/// The program from its items, or `None` on any error.
-fn by_items(src: &str, items: &[Item], valid: Option<&ValidBodies>) -> Option<Program> {
+/// Lexes, parses and lowers the declaration items, or `None` on any
+/// error.
+fn lower_decls(src: &str, items: &[Item]) -> Option<Decls> {
     let mut ast = ast::Program::default();
-    let mut bodies = Vec::new();
     for item in items {
         let tokens = lex_at(&src[item.text.clone()], item.at).ok()?;
         match (Parser::new(tokens).parse_decl_item().ok()?, &item.body) {
             (Decl::Struct(s), None) => ast.structs.push(s),
             (Decl::Global(g), None) => ast.globals.push(g),
-            (Decl::Func(f), Some(body)) => {
-                ast.funcs.push(f);
-                bodies.push(body);
-            }
+            (Decl::Func(f), Some(_)) => ast.funcs.push(f),
             // The scan and the parser disagree on what the item is.
             _ => return None,
         }
     }
-    let decls = Decls::new(&ast).ok()?;
-    let main = decls.main().ok()?;
+    Decls::new(ast).ok()
+}
 
-    // A body's key: the declaration text, its function's index (so its
-    // own header) and its bytes.
-    let (keys, known): (Vec<(u64, u64)>, Vec<bool>) = match valid {
-        Some(valid) => {
-            let mut h = TwoLaneHasher::new();
-            for item in items {
-                src[item.text.clone()].hash(&mut h);
-            }
-            let decls_digest = h.finish_pair();
-            let keys: Vec<_> = bodies
+/// A source's keys in a [`ValidBodies`] memo.
+struct Keys {
+    /// Its declaration set's: every item's declaration text and
+    /// position.
+    decls: (u64, u64),
+    /// The slots its declaration set takes: one per 8 bytes of text,
+    /// plus one.
+    decl_slots: usize,
+    /// Each function body's: the declaration text, the function's index
+    /// (so its own header) and the body's bytes. Positions never change
+    /// whether a body is valid.
+    bodies: Vec<(u64, u64)>,
+}
+
+impl Keys {
+    fn new(src: &str, items: &[Item], bodies: &[&(Range<usize>, Span)]) -> Keys {
+        let mut h = TwoLaneHasher::new();
+        for item in items {
+            src[item.text.clone()].hash(&mut h);
+        }
+        let text = h.finish_pair();
+        let mut h = TwoLaneHasher::new();
+        text.hash(&mut h);
+        for item in items {
+            item.at.hash(&mut h);
+        }
+        let text_len: usize = items.iter().map(|item| item.text.len()).sum();
+        Keys {
+            decls: h.finish_pair(),
+            decl_slots: 1 + text_len / 8,
+            bodies: bodies
                 .iter()
                 .enumerate()
-                .map(|(i, (body, _))| fingerprint_of(&(decls_digest, i, &src[body.clone()])))
-                .collect();
-            let set = valid.lock();
-            let known = keys.iter().map(|k| set.contains(k)).collect();
-            (keys, known)
+                .map(|(i, (body, _))| fingerprint_of(&(text, i, &src[body.clone()])))
+                .collect(),
         }
-        None => (Vec::new(), vec![false; bodies.len()]),
+    }
+}
+
+/// The program from its items, or `None` on any error.
+fn by_items(src: &str, items: &[Item], valid: Option<&ValidBodies>) -> Option<Program> {
+    let bodies: Vec<_> = items.iter().filter_map(|item| item.body.as_ref()).collect();
+
+    let keys = valid.map(|_| Keys::new(src, items, &bodies));
+    let (remembered, known) = match (valid, &keys) {
+        (Some(valid), Some(keys)) => {
+            let memo = valid.lock();
+            let remembered = memo.decls.get(&keys.decls).cloned();
+            let known = keys
+                .bodies
+                .iter()
+                .map(|k| memo.bodies.contains(k))
+                .collect();
+            drop(memo);
+            if remembered.is_some() {
+                valid.reused.fetch_add(1, Ordering::Relaxed);
+            }
+            (remembered, known)
+        }
+        _ => (None, vec![false; bodies.len()]),
     };
+    let decls = match &remembered {
+        Some(decls) => Arc::clone(decls),
+        None => Arc::new(lower_decls(src, items)?),
+    };
+    let main = decls.main().ok()?;
 
     let lower_body = |f: usize| {
         let (range, at) = bodies[f];
         let (locals, stmts) = Parser::new(lex_at(&src[range.clone()], *at).ok()?)
             .parse_body_item()
             .ok()?;
-        decls.lower_func(&ast.funcs[f], &locals, &stmts).ok()
+        decls.lower_func(f, &locals, &stmts).ok()
     };
     let mut funcs: Vec<Option<_>> = vec![None; bodies.len()];
     reachable_funcs(main, decls.globals(), bodies.len(), |f: FuncId, follow| {
@@ -202,32 +294,40 @@ fn by_items(src: &str, items: &[Item], valid: Option<&ValidBodies>) -> Option<Pr
         .enumerate()
         .map(|(f, def)| match def {
             Some(def) => Some(def),
-            None if stubbed[f] => Some(Decls::stub(&ast.funcs[f])),
+            None if stubbed[f] => Some(decls.stub(f)),
             None => lower_body(f),
         })
         .collect::<Option<_>>()?;
     let program = decls.finish(funcs).ok()?;
     wf::check(&program).ok()?;
 
-    if let Some(valid) = valid {
-        let mut set = valid.lock();
+    if let (Some(valid), Some(keys)) = (valid, &keys) {
+        let mut memo = valid.lock();
+        let mut clears = 0;
+        // A set too large for the memo even when empty is not kept.
+        if remembered.is_none()
+            && keys.decl_slots <= ValidBodies::CAPACITY
+            && !memo.decls.contains_key(&keys.decls)
+        {
+            clears += u64::from(memo.take(keys.decl_slots));
+            memo.decls.insert(keys.decls, decls);
+        }
         for (f, def) in program.funcs.iter().enumerate() {
             // A body the transform's whole-program scan reads must
             // always arrive in full.
             if stubbed[f] || known[f] || def.body.mallocs_to_non_var(&|_| true) {
                 continue;
             }
-            if set.len() >= ValidBodies::CAPACITY {
-                set.clear();
-                valid.clears.fetch_add(1, Ordering::Relaxed);
-            }
-            set.insert(keys[f]);
+            clears += u64::from(memo.take(1));
+            memo.bodies.insert(keys.bodies[f]);
         }
+        drop(memo);
         let stubs = stubbed.iter().filter(|&&s| s).count() as u64;
         valid
             .lowered
             .fetch_add(stubbed.len() as u64 - stubs, Ordering::Relaxed);
         valid.stubbed.fetch_add(stubs, Ordering::Relaxed);
+        valid.clears.fetch_add(clears, Ordering::Relaxed);
     }
     Some(program)
 }

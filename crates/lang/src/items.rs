@@ -151,20 +151,8 @@ impl Scan<'_> {
     /// Advances to the next `;`, `{` or `}` outside comments and returns
     /// it, or `None` at the end of input or an unterminated comment.
     fn skip_to_stop(&mut self) -> Option<u8> {
-        // The bytes the scan stops at: the three, and `/`, which may
-        // open a comment.
-        const STOP: [bool; 256] = {
-            let mut t = [false; 256];
-            t[b';' as usize] = true;
-            t[b'{' as usize] = true;
-            t[b'}' as usize] = true;
-            t[b'/' as usize] = true;
-            t
-        };
         loop {
-            self.pos += self.bytes[self.pos..]
-                .iter()
-                .position(|&b| STOP[b as usize])?;
+            self.pos += find_stop(&self.bytes[self.pos..])?;
             match self.bytes[self.pos] {
                 b'/' if self.at_comment() => self.skip_comment()?,
                 b'/' => self.pos += 1,
@@ -204,6 +192,32 @@ impl Scan<'_> {
             }
         }
     }
+}
+
+/// The index of the first byte the scan stops at: `;`, `{`, `}`, or
+/// `/`, which may open a comment. It tests eight bytes at a time: a
+/// byte equal to the sought one is zero after an xor, and the lowest
+/// zero byte of a word sets the lowest bit of
+/// `(x - 0x01…01) & !x & 0x80…80` (a borrow only marks bytes above it).
+fn find_stop(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
+    let zero_bytes = |x: u64| x.wrapping_sub(ONES) & !x & HIGH;
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        let hits = zero_bytes(w ^ (ONES * u64::from(b';')))
+            | zero_bytes(w ^ (ONES * u64::from(b'{')))
+            | zero_bytes(w ^ (ONES * u64::from(b'}')))
+            | zero_bytes(w ^ (ONES * u64::from(b'/')));
+        if hits != 0 {
+            return Some(at + hits.trailing_zeros() as usize / 8);
+        }
+        at += 8;
+    }
+    let stop = |&b: &u8| matches!(b, b';' | b'{' | b'}' | b'/');
+    words.remainder().iter().position(stop).map(|i| at + i)
 }
 
 #[cfg(test)]
@@ -264,6 +278,26 @@ mod tests {
         assert_eq!(items[0].at, Span::new(1, 1));
         assert_eq!(items[1].at, Span::new(2, 9));
         assert_eq!(items[1].body.as_ref().unwrap().1, Span::new(2, 21));
+    }
+
+    #[test]
+    fn the_word_search_finds_the_first_stop_byte() {
+        // Every stop byte at every offset of a word and of the tail,
+        // after bytes one off from the stops (a borrow that crosses
+        // bytes must not mark an earlier one).
+        let filler = [b':', b'<', b'z', b'|', b'~', b'.', b'0', 0x01, 0x80, 0xFF];
+        for len in 1..=24 {
+            for stop in 0..len {
+                for &b in b";{}/" {
+                    let mut bytes: Vec<u8> = (0..len).map(|i| filler[i % filler.len()]).collect();
+                    bytes[stop] = b;
+                    bytes.extend_from_slice(b";/");
+                    assert_eq!(find_stop(&bytes), Some(stop), "{bytes:?}");
+                }
+            }
+            let bytes: Vec<u8> = (0..len).map(|i| filler[i % filler.len()]).collect();
+            assert_eq!(find_stop(&bytes), None);
+        }
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //!
 //! * the front end ([`frontend`], [`parse_and_lower`]): a byte scan
 //!   splits the source into top-level items; the declarations are
-//!   parsed on every call and the bodies `main` reaches
+//!   lowered and the bodies `main` reaches
 //!   ([`hir::reachable_funcs`]) are lowered in full. A [`ValidBodies`]
-//!   set, one per serve daemon, remembers bodies validated under the
-//!   same declarations and stubs them when `main` does not reach them;
-//!   `parse_and_lower` remembers nothing,
+//!   memo, one per serve daemon, keeps lowered declaration sets and
+//!   remembers bodies validated under the same declarations, stubbing
+//!   them when `main` does not reach them; `parse_and_lower` remembers
+//!   nothing,
 //! * a lexer and recursive-descent parser ([`parse_program`]),
 //! * a surface AST ([`ast`]) with `if`/`while` and compound expressions,
 //! * a core IR ([`hir`]) that is *exactly* the paper's parallel language

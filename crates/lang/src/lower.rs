@@ -32,24 +32,47 @@ use crate::{LangError, LangErrorKind};
 /// variables, arity mismatches on direct calls, duplicate definitions,
 /// and a missing `main`.
 pub fn lower(ast: &ast::Program) -> Result<hir::Program, LangError> {
-    let decls = Decls::new(ast)?;
-    let funcs = ast.funcs.iter().map(|f| decls.lower_func(f, &f.locals, &f.body)).collect::<Result<_, _>>()?;
+    let headers = ast::Program {
+        structs: ast.structs.clone(),
+        globals: ast.globals.clone(),
+        funcs: ast
+            .funcs
+            .iter()
+            .map(|f| ast::FuncDef {
+                name: f.name.clone(),
+                ret: f.ret.clone(),
+                params: f.params.clone(),
+                locals: Vec::new(),
+                body: Vec::new(),
+                span: f.span,
+            })
+            .collect(),
+    };
+    let decls = Decls::new(headers)?;
+    let funcs = ast
+        .funcs
+        .iter()
+        .enumerate()
+        .map(|(i, f)| decls.lower_func(i, &f.locals, &f.body))
+        .collect::<Result<_, _>>()?;
     decls.finish(funcs)
 }
 
 /// A program's declarations, lowered: its structs, its globals with
 /// their initializers, and its function names and signatures. Every
 /// function body lowers against these alone, so the front end can
-/// lower bodies one at a time and in any order.
-pub(crate) struct Decls<'a> {
+/// lower bodies one at a time and in any order. It owns the header AST
+/// it was built from, so one lowered set can be shared between calls.
+#[derive(Debug)]
+pub(crate) struct Decls {
     program: hir::Program,
-    env: Env<'a>,
+    env: Env,
 }
 
-impl<'a> Decls<'a> {
-    /// Lowers the declarations of `ast`, whose functions' bodies may be
-    /// empty (they are lowered by [`Decls::lower_func`]).
-    pub(crate) fn new(ast: &'a ast::Program) -> Result<Self, LangError> {
+impl Decls {
+    /// Lowers the declarations of `ast`, whose functions' locals and
+    /// bodies are ignored (they are lowered by [`Decls::lower_func`]).
+    pub(crate) fn new(ast: ast::Program) -> Result<Self, LangError> {
         let mut program = hir::Program::default();
 
         // Structs.
@@ -105,7 +128,7 @@ impl<'a> Decls<'a> {
             }
         }
 
-        let env = Env { struct_ids, global_ids, func_ids, globals: &ast.globals, funcs: &ast.funcs };
+        let env = Env { struct_ids, global_ids, func_ids, globals: ast.globals, funcs: ast.funcs };
         Ok(Decls { program, env })
     }
 
@@ -127,22 +150,23 @@ impl<'a> Decls<'a> {
         }
     }
 
-    /// Lowers one function: `header` from the declarations, with the
+    /// Lowers function `f`: its header from the declarations, with the
     /// local declarations and statements of its body.
     pub(crate) fn lower_func(
         &self,
-        header: &ast::FuncDef,
+        f: usize,
         locals: &[ast::VarDecl],
         body: &[ast::Stmt],
     ) -> Result<hir::FuncDef, LangError> {
-        let mut cx = FnCx::new(&self.env, &self.program, header, locals)?;
+        let mut cx = FnCx::new(&self.env, &self.program, &self.env.funcs[f], locals)?;
         cx.func.body = cx.lower_stmts(body)?;
         Ok(cx.func)
     }
 
-    /// The body-less stand-in for a function nothing runs: its name,
-    /// its parameters as its only locals, and a `skip` body.
-    pub(crate) fn stub(header: &ast::FuncDef) -> hir::FuncDef {
+    /// The body-less stand-in for function `f` when nothing runs it:
+    /// its name, its parameters as its only locals, and a `skip` body.
+    pub(crate) fn stub(&self, f: usize) -> hir::FuncDef {
+        let header = &self.env.funcs[f];
         hir::FuncDef {
             name: header.name.clone(),
             param_count: header.params.len() as u32,
@@ -157,9 +181,13 @@ impl<'a> Decls<'a> {
     }
 
     /// The program with `funcs`, one per declared function in order.
-    pub(crate) fn finish(self, funcs: Vec<hir::FuncDef>) -> Result<hir::Program, LangError> {
-        let main = self.main()?;
-        Ok(hir::Program { funcs, main, ..self.program })
+    pub(crate) fn finish(&self, funcs: Vec<hir::FuncDef>) -> Result<hir::Program, LangError> {
+        Ok(hir::Program {
+            structs: self.program.structs.clone(),
+            globals: self.program.globals.clone(),
+            funcs,
+            main: self.main()?,
+        })
     }
 }
 
@@ -183,17 +211,19 @@ fn err(msg: impl Into<String>, span: Span) -> LangError {
     LangError::new(LangErrorKind::Lower, msg, span)
 }
 
-struct Env<'a> {
+#[derive(Debug)]
+struct Env {
     struct_ids: HashMap<String, hir::StructId>,
     global_ids: HashMap<String, hir::GlobalId>,
     func_ids: HashMap<String, hir::FuncId>,
-    globals: &'a [ast::VarDecl],
-    funcs: &'a [ast::FuncDef],
+    globals: Vec<ast::VarDecl>,
+    /// Function headers: their locals and bodies are empty.
+    funcs: Vec<ast::FuncDef>,
 }
 
 /// Per-function lowering context.
 struct FnCx<'a> {
-    env: &'a Env<'a>,
+    env: &'a Env,
     structs: &'a [hir::StructDef],
     local_ids: HashMap<String, hir::LocalId>,
     func: hir::FuncDef,
@@ -203,7 +233,7 @@ struct FnCx<'a> {
 
 impl<'a> FnCx<'a> {
     fn new(
-        env: &'a Env<'a>,
+        env: &'a Env,
         program: &'a hir::Program,
         f: &ast::FuncDef,
         decls: &[ast::VarDecl],

@@ -214,8 +214,8 @@ pub enum Event {
         span: u64,
         /// Stage name, repeated for grep-ability.
         name: String,
-        /// Wall time the span covered.
-        wall_ms: u64,
+        /// Wall time the span covered, in microseconds.
+        wall_us: u64,
     },
     /// End-of-run summary.
     RunSummary {
@@ -362,9 +362,9 @@ impl Event {
                     out.push_str(&format!(",\"request\":{}", quoted(request)));
                 }
             }
-            Event::SpanClose { trace, span, name, wall_ms } => {
+            Event::SpanClose { trace, span, name, wall_us } => {
                 out.push_str(&format!(
-                    ",\"trace\":{},\"span\":{span},\"name\":{},\"wall_ms\":{wall_ms}",
+                    ",\"trace\":{},\"span\":{span},\"name\":{},\"wall_us\":{wall_us}",
                     quoted(trace),
                     quoted(name),
                 ));
@@ -502,12 +502,12 @@ mod tests {
             trace: "0123456789abcdef".into(),
             span: 7,
             name: "check".into(),
-            wall_ms: 12,
+            wall_us: 12_345,
         };
         let parsed = Json::parse(&close.to_json()).unwrap();
         assert_eq!(parsed.get("event").and_then(Json::as_str), Some("span_close"));
         assert_eq!(parsed.get("span").and_then(Json::as_u64), Some(7));
-        assert_eq!(parsed.get("wall_ms").and_then(Json::as_u64), Some(12));
+        assert_eq!(parsed.get("wall_us").and_then(Json::as_u64), Some(12_345));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! server for clients that did not send one) and rides along every
 //! stage: protocol frame, queue admission, worker, supervisor, engine.
 //! Each stage brackets its work in a [`Span`], which emits a
-//! `span_open` event on creation and a `span_close` (with wall time)
+//! `span_open` event on creation and a `span_close` (with wall time in microseconds)
 //! when dropped or explicitly closed. Span ids are process-unique and
 //! each open names its parent, so the JSONL trace reconstructs into a
 //! tree per trace id: `recv → queued → check → reply` for a served
@@ -152,12 +152,12 @@ impl Span {
 
     fn finish(&mut self) {
         if let Some(started) = self.started.take() {
-            let wall_ms = started.elapsed().as_millis() as u64;
+            let wall_us = started.elapsed().as_micros() as u64;
             self.obs.emit(|_| Event::SpanClose {
                 trace: self.trace.to_hex(),
                 span: self.id,
                 name: self.name.to_string(),
-                wall_ms,
+                wall_us,
             });
         }
     }

@@ -11,7 +11,15 @@
 //! digests of its copy-on-write chunks, so a recorded state re-hashes
 //! only the chunks its path wrote since they were last shared; the
 //! rest of a driver harness's heap costs one digest load per chunk.
+//!
+//! At a branch, an alternative whose first instruction is an `assume`
+//! already false gets no configuration copy: run, it would cost one
+//! step and end its path. The search accounts it in DFS order instead,
+//! inline when it comes before the first live alternative, else as a
+//! configuration-less entry on the pending stack, so steps, states and
+//! paths are those of running it.
 
+use kiss_exec::eval::eval_cond;
 use kiss_exec::step::{self, Step};
 use kiss_exec::store::{StateCapExceeded, VisitedTable};
 use kiss_exec::{ExecError, Instr, Module, TraceStep};
@@ -79,7 +87,7 @@ impl<'a> ExplicitChecker<'a> {
             trace: Vec::with_capacity(256),
             pending: {
                 let mut pending = Vec::with_capacity(32);
-                pending.push((Config::initial(self.module), 0));
+                pending.push((Some(Config::initial(self.module)), 0));
                 pending
             },
             paths: 0,
@@ -105,7 +113,9 @@ struct Search<'a> {
     meter: Meter,
     visited: VisitedTable,
     trace: Vec<TraceStep>,
-    pending: Vec<(Config, usize)>,
+    /// Alternatives left to run, with the trace length at their branch;
+    /// `None` is a dead alternative.
+    pending: Vec<(Option<Config>, usize)>,
     paths: u64,
     frontier_peak: usize,
 }
@@ -121,7 +131,11 @@ impl Search<'_> {
     fn run(&mut self) -> Verdict {
         while let Some((config, trace_len)) = self.pending.pop() {
             self.trace.truncate(trace_len);
-            match self.run_path(config) {
+            let end = match config {
+                Some(config) => self.run_path(config),
+                None => self.run_dead(),
+            };
+            match end {
                 PathEnd::Done => self.paths += 1,
                 PathEnd::Stop(v) => return v,
             }
@@ -140,6 +154,15 @@ impl Search<'_> {
             }
             Ok((_, false)) => Ok(false),
             Err(StateCapExceeded) => Err(self.meter.bound(BoundReason::StateCap)),
+        }
+    }
+
+    /// Accounts a dead alternative as running it would: its `assume`
+    /// costs one step and prunes the path.
+    fn run_dead(&mut self) -> PathEnd {
+        match self.meter.tick() {
+            Ok(()) => PathEnd::Done,
+            Err(reason) => PathEnd::Stop(self.meter.bound(reason)),
         }
     }
 
@@ -168,20 +191,37 @@ impl Search<'_> {
             let fault = match step::step(&mut config.thread(module), instr) {
                 Ok(Step::Continue) => continue,
                 Ok(Step::Finished | Step::Pruned) => return PathEnd::Done,
-                Ok(Step::Branch(targets)) => match targets.split_first() {
-                    None => return PathEnd::Done, // no branch: dead end
-                    Some((&first, rest)) => {
-                        self.pending.reserve(rest.len());
-                        for &alt in rest.iter().rev() {
+                Ok(Step::Branch(targets)) => {
+                    if targets.is_empty() {
+                        return PathEnd::Done; // no branch: dead end
+                    }
+                    // This path goes on with the first live alternative
+                    // (or the first one, when all are dead); the dead
+                    // ones before it run and end here.
+                    let go = targets
+                        .iter()
+                        .position(|&pc| !is_dead(module, &mut config, pc))
+                        .unwrap_or(0);
+                    for _ in 0..go {
+                        match self.run_dead() {
+                            PathEnd::Done => self.paths += 1,
+                            stop => return stop,
+                        }
+                    }
+                    let rest = &targets[go + 1..];
+                    self.pending.reserve(rest.len());
+                    for &alt in rest.iter().rev() {
+                        let alt_config = (!is_dead(module, &mut config, alt)).then(|| {
                             let mut alt_config = config.clone();
                             alt_config.stack.last_mut().expect("nonempty").pc = alt;
-                            self.pending.push((alt_config, self.trace.len()));
-                        }
-                        self.frontier_peak = self.frontier_peak.max(self.pending.len() + 1);
-                        config.stack.last_mut().expect("nonempty").pc = first;
-                        continue;
+                            alt_config
+                        });
+                        self.pending.push((alt_config, self.trace.len()));
                     }
-                },
+                    self.frontier_peak = self.frontier_peak.max(self.pending.len() + 1);
+                    config.stack.last_mut().expect("nonempty").pc = targets[go];
+                    continue;
+                }
                 // One stack has no second thread to start.
                 Ok(Step::Spawn(_)) => ExecError::AsyncInSequential.into(),
                 Err(fault) => fault,
@@ -192,6 +232,17 @@ impl Search<'_> {
 
     fn snapshot(&self, config: &Config) -> ErrorTrace {
         ErrorTrace { steps: self.trace.clone(), globals: config.mem.globals.to_vec() }
+    }
+}
+
+/// Whether the alternative at `pc` of the top frame starts with an
+/// `assume` that is false in `config`. One that cannot be evaluated is
+/// live: running it reports the fault.
+fn is_dead(module: &Module, config: &mut Config, pc: usize) -> bool {
+    let func = config.stack.last().expect("nonempty").func;
+    match &module.body(func).instrs[pc] {
+        Instr::Assume(cond) => eval_cond(&config.thread(module), cond) == Ok(false),
+        _ => false,
     }
 }
 

@@ -630,7 +630,11 @@ pub struct ServeSnapshot {
     /// Bodies `main` did not reach that the front end stubbed because
     /// the daemon had validated them before (`kiss_lang::ValidBodies`).
     pub bodies_stubbed: u64,
-    /// Times that set of validated bodies was cleared on filling up.
+    /// Misses whose front end reused the declarations it had lowered for
+    /// the same declaration items at the same positions.
+    pub decl_sets_reused: u64,
+    /// Times that memo of validated bodies and declaration sets was
+    /// cleared on filling up.
     pub body_set_clears: u64,
     /// Per-operation latency histograms (milliseconds), keyed by a
     /// stable lowercase name (`check`, `hit`), sorted by name.
@@ -670,8 +674,8 @@ impl ServeSnapshot {
             self.requests, self.hits, self.misses, self.shed, self.faults,
         ));
         out.push_str(&format!(
-            ",\"bodies_lowered\":{},\"bodies_stubbed\":{},\"body_set_clears\":{}",
-            self.bodies_lowered, self.bodies_stubbed, self.body_set_clears,
+            ",\"bodies_lowered\":{},\"bodies_stubbed\":{},\"decl_sets_reused\":{},\"body_set_clears\":{}",
+            self.bodies_lowered, self.bodies_stubbed, self.decl_sets_reused, self.body_set_clears,
         ));
         out.push_str(",\"latency\":{");
         for (i, (name, hist)) in self.latency.iter().enumerate() {
@@ -720,6 +724,7 @@ impl ServeSnapshot {
             faults: num("faults"),
             bodies_lowered: num("bodies_lowered"),
             bodies_stubbed: num("bodies_stubbed"),
+            decl_sets_reused: num("decl_sets_reused"),
             body_set_clears: num("body_set_clears"),
             latency,
         })
@@ -757,8 +762,8 @@ impl ServeSnapshot {
             self.cache_shards, self.shard_acquires, self.shard_contended,
         ));
         out.push_str(&format!(
-            "bodies    : lowered={} stubbed={} set-clears={}\n",
-            self.bodies_lowered, self.bodies_stubbed, self.body_set_clears,
+            "bodies    : lowered={} stubbed={} decl-sets-reused={} set-clears={}\n",
+            self.bodies_lowered, self.bodies_stubbed, self.decl_sets_reused, self.body_set_clears,
         ));
         out.push_str(&format!("faults    : fired={}\n", self.faults));
         for (name, hist) in &self.latency {
@@ -990,6 +995,7 @@ mod tests {
             faults: 2,
             bodies_lowered: 12,
             bodies_stubbed: 340,
+            decl_sets_reused: 38,
             body_set_clears: 1,
             latency: vec![
                 ("check".to_string(), Histogram::from_samples([5, 9, 120])),
@@ -1003,7 +1009,7 @@ mod tests {
         assert!(view.contains("open=5 peak=9 accepted=31 admission-waits=4"), "{view}");
         assert!(view.contains("total=100 hits=60 misses=39 shed=1 batches=6"), "{view}");
         assert!(view.contains("n=16 acquires=210 contended=1"), "{view}");
-        assert!(view.contains("lowered=12 stubbed=340 set-clears=1"), "{view}");
+        assert!(view.contains("lowered=12 stubbed=340 decl-sets-reused=38 set-clears=1"), "{view}");
         assert!(view.contains("lat check : n=3"), "{view}");
         // Absent fields default; an empty object parses to zeroes.
         let empty = ServeSnapshot::parse("{}").unwrap();

@@ -37,12 +37,14 @@
 //! lands in the supervisor's `catch_unwind` and comes back as a
 //! `crashed` verdict, which is never cached.
 //!
-//! A miss's front end runs through one [`ValidBodies`] set shared by the
-//! workers: a race sweep sends each driver once per field with only the
-//! harness `main` changed, so after the first field the bodies `main`
-//! does not reach are stubbed instead of lexed, parsed and lowered
-//! again. Verdicts are the same either way: the transform stubs every
-//! unreachable function too.
+//! A miss's front end runs through one [`ValidBodies`] memo shared by
+//! the workers: a race sweep sends each driver once per field with only
+//! the harness `main` changed, so after the first field the lowered
+//! declarations are reused and the bodies `main` does not reach are
+//! stubbed instead of lexed, parsed and lowered again. Verdicts are the
+//! same either way: the transform stubs every unreachable function too.
+//! The memo is bounded by a constant (about 1.1 MB of body keys and
+//! 512 KiB of declaration text lowered, see [`ValidBodies`]).
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -1091,6 +1093,7 @@ fn handle_request(
             faults: kiss_fault::total_fired(),
             bodies_lowered: counts.lowered,
             bodies_stubbed: counts.stubbed,
+            decl_sets_reused: counts.decl_sets_reused,
             body_set_clears: counts.clears,
             latency: vec![
                 ("check".to_string(), metrics.check_ms.snapshot()),
@@ -1207,7 +1210,7 @@ fn worker_loop(shared: &Shared<'_>, seq: &AtomicU64) {
             trace: job.trace.to_hex(),
             span: job.queued_span,
             name: "queued".to_string(),
-            wall_ms: job.received.elapsed().as_millis() as u64,
+            wall_us: job.received.elapsed().as_micros() as u64,
         });
         metrics.in_flight.inc();
         let check_span = Span::open(&cfg.obs, job.trace, job.queued_span, "check");

@@ -1,9 +1,10 @@
 //! A daemon answers a race sweep the same whether its front end is cold
 //! or warm.
 //!
-//! The daemon keeps one set of validated function bodies for all its
-//! workers and stubs the remembered bodies `main` does not reach. The
-//! transform stubs those anyway, so a second pass over both served
+//! The daemon keeps one memo of validated function bodies and lowered
+//! declaration sets for all its workers, reuses the remembered
+//! declarations and stubs the remembered bodies `main` does not reach.
+//! The transform stubs those anyway, so a second pass over both served
 //! corpora, with every cache key new, must answer exactly as the first:
 //! verdict, detail, steps and states.
 
@@ -64,4 +65,12 @@ fn a_second_distinct_keyed_pass_over_the_corpora_answers_as_the_first() {
         "lowered {lowered}, stubbed {stubbed}"
     );
     assert_eq!(after_second.body_set_clears, 0);
+    // A driver's fields share its declarations, and the second pass
+    // changes only a trailing comment, so every one of its misses reuses
+    // a declaration set.
+    assert!(after_first.decl_sets_reused > 0, "{after_first:?}");
+    assert_eq!(
+        after_second.decl_sets_reused - after_first.decl_sets_reused,
+        after_second.misses - after_first.misses
+    );
 }
