@@ -1,6 +1,6 @@
 //! Concurrent configurations: shared memory plus one stack per thread.
 
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 
 use kiss_exec::{Frame, Memory, Module, ThreadEnv, TwoLaneHasher};
 
@@ -37,16 +37,35 @@ impl ConcConfig {
 
     /// The 128-bit key the explorer records this configuration under
     /// in its [`VisitedTable`](kiss_exec::store::VisitedTable), in one
-    /// [`TwoLaneHasher`] pass: memory through its cached chunk digests
-    /// ([`Memory::hash_cached`]), then every thread's stack, then
-    /// `extra` — the scheduler state the exploration mode restricts
-    /// on, which is part of the search node.
+    /// [`TwoLaneHasher`] pass: the memory's digest ([`Memory::digest`]),
+    /// then every thread's stack, each frame as its function, pc,
+    /// destination and locals digest, then `extra` — the scheduler
+    /// state the exploration mode restricts on, which is part of the
+    /// search node. The cost follows the frames, not the memory.
     pub fn fingerprint(&self, extra: &impl Hash) -> (u64, u64) {
         let mut h = TwoLaneHasher::new();
-        self.mem.hash_cached(&mut h);
-        self.threads.hash(&mut h);
+        self.mem.digest().hash(&mut h);
+        h.write_usize(self.threads.len());
+        for stack in &self.threads {
+            h.write_usize(stack.len());
+            for frame in stack {
+                frame.func.hash(&mut h);
+                h.write_usize(frame.pc);
+                frame.dest.hash(&mut h);
+                frame.digest().hash(&mut h);
+            }
+        }
         extra.hash(&mut h);
         h.finish_pair()
+    }
+
+    /// In builds with debug assertions, panics unless the memory's and
+    /// every frame's digest equal their from-scratch recomputation. The
+    /// explorer calls it at each state it records.
+    #[inline]
+    pub fn debug_assert_digests(&self) {
+        self.mem.debug_assert_digest();
+        self.threads.iter().flatten().for_each(Frame::debug_assert_digest);
     }
 }
 

@@ -227,6 +227,7 @@ impl<'a> Explorer<'a> {
                 if stats.transitions > self.max_steps || visited.len() > self.max_states {
                     return bound(stats, visited.len());
                 }
+                node.config.debug_assert_digests();
                 match visited.insert(self.fingerprint(&node)) {
                     Ok((_, true)) => {}
                     Ok((_, false)) => continue 'outer,
@@ -803,7 +804,7 @@ mod tests {
                 for pc in 0..3 {
                     for shape in 0..if threads == 1 { 1 } else { 3 } {
                         let mut c = ConcConfig::initial(&m);
-                        c.mem.globals[0] = Value::Int(g);
+                        c.mem.set_global(kiss_lang::hir::GlobalId(0), Value::Int(g));
                         c.threads[0][0].pc = pc;
                         for t in 1..threads {
                             c.threads.push(vec![Frame::enter(&m, w, &[Value::Int(t + g)], None)]);

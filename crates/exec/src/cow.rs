@@ -1,87 +1,34 @@
 //! Copy-on-write chunked vector — the structural-sharing layer under
 //! [`Memory`](crate::Memory).
 //!
-//! Explicit-state search clones the whole `Memory` on every
-//! nondeterministic branch and into every BFS frontier slot. With plain
-//! `Vec`s each clone is O(heap); with [`CowVec`] the storage is split
-//! into small `Arc`-shared chunks, so a clone is O(chunks) pointer
-//! bumps and the first *write* to a shared chunk pays for copying just
-//! that chunk (`Arc::make_mut` is the write barrier). Sibling states
-//! that never touch a chunk keep sharing it for their whole lifetime —
-//! exactly the access pattern of branching searches, where siblings
-//! diverge in a handful of cells out of a heap they otherwise share.
+//! The engines that store configurations — BFS, the LTL product and
+//! kiss-conc's explorer — clone the whole `Memory` into every frontier
+//! slot or successor. With plain `Vec`s each clone is O(heap); with
+//! [`CowVec`] the storage is split into small `Arc`-shared chunks, so a
+//! clone is O(chunks) pointer bumps and the first *write* to a shared
+//! chunk pays for copying just that chunk (`Arc::make_mut` is the write
+//! barrier). Sibling states that never touch a chunk keep sharing it for
+//! their whole lifetime — exactly the access pattern of branching
+//! searches, where siblings diverge in a handful of cells out of a heap
+//! they otherwise share.
 //!
 //! The chunk size is a compile-time power of two so indexing is a
 //! shift and a mask. Eight elements per chunk keeps the write barrier's
 //! copy small (a `HeapObj` clone per touched neighbour) while still
 //! collapsing a 64-object heap clone into 8 `Arc` bumps.
 
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-use kiss_lang::fingerprint::fingerprint_of;
 
 const CHUNK_BITS: usize = 3;
 const CHUNK: usize = 1 << CHUNK_BITS;
 const MASK: usize = CHUNK - 1;
-
-/// One shared chunk: the elements plus a lazily computed, cached
-/// content digest. The digest lives inside the `Arc`ed allocation on
-/// purpose — once any sharer computes it, every state still sharing
-/// the chunk reads it back for free, which turns the per-branch state
-/// fingerprint from O(memory) re-hashing into O(chunks) digest loads
-/// for all the memory sibling states never wrote.
-struct Chunk<T> {
-    data: Vec<T>,
-    /// [`fingerprint_of`] `data`; meaningful only when `sealed`.
-    digest: (AtomicU64, AtomicU64),
-    /// Whether `digest` holds the hash of the current `data`.
-    sealed: AtomicBool,
-}
-
-impl<T> Chunk<T> {
-    fn new(data: Vec<T>) -> Self {
-        Chunk { data, digest: (AtomicU64::new(0), AtomicU64::new(0)), sealed: AtomicBool::new(false) }
-    }
-
-    /// Drops the cached digest; called (through `&mut`, so without
-    /// atomic traffic) after every write-barrier crossing.
-    fn unseal(&mut self) {
-        *self.sealed.get_mut() = false;
-    }
-}
-
-impl<T: Hash> Chunk<T> {
-    /// The cached digest, computing and sealing it on first use. Two
-    /// racing computations store identical values, so `Relaxed` lane
-    /// stores under an `Acquire`/`Release` seal are enough.
-    fn digest(&self) -> (u64, u64) {
-        if self.sealed.load(Ordering::Acquire) {
-            return (self.digest.0.load(Ordering::Relaxed), self.digest.1.load(Ordering::Relaxed));
-        }
-        let (a, b) = fingerprint_of(&self.data);
-        self.digest.0.store(a, Ordering::Relaxed);
-        self.digest.1.store(b, Ordering::Relaxed);
-        self.sealed.store(true, Ordering::Release);
-        (a, b)
-    }
-}
-
-impl<T: Clone> Clone for Chunk<T> {
-    fn clone(&self) -> Self {
-        // A clone exists to be written (it is what `Arc::make_mut`
-        // creates behind the write barrier), so it starts unsealed.
-        Chunk::new(self.data.clone())
-    }
-}
 
 /// A vector of `Arc`-shared fixed-size chunks with clone-on-write
 /// mutation. Reads and in-place writes go through shift/mask indexing;
 /// `Clone` is O(len / CHUNK) `Arc` clones.
 #[derive(Clone)]
 pub struct CowVec<T> {
-    chunks: Vec<Arc<Chunk<T>>>,
+    chunks: Vec<Arc<Vec<T>>>,
     len: usize,
 }
 
@@ -105,12 +52,22 @@ impl<T: Clone> CowVec<T> {
     /// full. Pushing into a shared final chunk copies only that chunk.
     pub fn push(&mut self, value: T) {
         if self.len & MASK == 0 {
-            self.chunks.push(Arc::new(Chunk::new(Vec::with_capacity(CHUNK))));
+            self.chunks.push(Arc::new(Vec::with_capacity(CHUNK)));
         }
-        let last = Arc::make_mut(self.chunks.last_mut().expect("chunk pushed above"));
-        last.unseal();
-        last.data.push(value);
+        Arc::make_mut(self.chunks.last_mut().expect("chunk pushed above")).push(value);
         self.len += 1;
+    }
+
+    /// Removes and returns the last element, dropping its chunk once
+    /// empty. Popping from a shared final chunk copies only that chunk.
+    pub fn pop(&mut self) -> Option<T> {
+        let last = Arc::make_mut(self.chunks.last_mut()?);
+        let value = last.pop();
+        if last.is_empty() {
+            self.chunks.pop();
+        }
+        self.len -= 1;
+        value
     }
 
     /// Shared read access; `None` out of bounds.
@@ -118,7 +75,7 @@ impl<T: Clone> CowVec<T> {
         if index >= self.len {
             return None;
         }
-        self.chunks[index >> CHUNK_BITS].data.get(index & MASK)
+        self.chunks[index >> CHUNK_BITS].get(index & MASK)
     }
 
     /// Mutable access through the write barrier: a chunk shared with
@@ -128,36 +85,18 @@ impl<T: Clone> CowVec<T> {
         if index >= self.len {
             return None;
         }
-        let chunk = Arc::make_mut(&mut self.chunks[index >> CHUNK_BITS]);
-        chunk.unseal();
-        chunk.data.get_mut(index & MASK)
+        Arc::make_mut(&mut self.chunks[index >> CHUNK_BITS]).get_mut(index & MASK)
     }
 
     /// Iterates the elements in order.
     pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
-        self.chunks.iter().flat_map(|c| c.data.iter())
+        self.chunks.iter().flat_map(|c| c.iter())
     }
 
     /// Copies the elements out into a plain `Vec` (used at the
     /// boundary where error traces escape the engine).
     pub fn to_vec(&self) -> Vec<T> {
         self.iter().cloned().collect()
-    }
-}
-
-impl<T: Clone + Hash> CowVec<T> {
-    /// Feeds the length and the cached per-chunk digests into `state` —
-    /// the fast fingerprint path. The digest stream depends only on the
-    /// *contents* (never on sharing history), but it is NOT the same
-    /// stream as the element-wise [`Hash`] impl: a fingerprint scheme
-    /// must use one or the other for the lifetime of a visited set.
-    pub fn hash_cached<H: Hasher>(&self, state: &mut H) {
-        state.write_usize(self.len);
-        for chunk in &self.chunks {
-            let (a, b) = chunk.digest();
-            state.write_u64(a);
-            state.write_u64(b);
-        }
     }
 }
 
@@ -187,7 +126,7 @@ impl<T> std::ops::Index<usize> for CowVec<T> {
     type Output = T;
     fn index(&self, index: usize) -> &T {
         assert!(index < self.len, "CowVec index {index} out of bounds (len {})", self.len);
-        &self.chunks[index >> CHUNK_BITS].data[index & MASK]
+        &self.chunks[index >> CHUNK_BITS][index & MASK]
     }
 }
 
@@ -230,9 +169,7 @@ impl<T: Clone + Ord> Ord for CowVec<T> {
     }
 }
 
-// Hashes exactly like a `Vec<T>` (length prefix, then elements). State
-// fingerprints go through `hash_cached` instead; this impl serves hash
-// maps keyed on memory, such as the summary engine's entry states.
+// Hashes exactly like a `Vec<T>` (length prefix, then elements).
 impl<T: Clone + std::hash::Hash> std::hash::Hash for CowVec<T> {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         state.write_usize(self.len);
@@ -244,7 +181,7 @@ impl<T: Clone + std::hash::Hash> std::hash::Hash for CowVec<T> {
 
 impl<T: std::fmt::Debug> std::fmt::Debug for CowVec<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.chunks.iter().flat_map(|c| c.data.iter())).finish()
+        f.debug_list().entries(self.chunks.iter().flat_map(|c| c.iter())).finish()
     }
 }
 
@@ -308,22 +245,19 @@ mod tests {
     }
 
     #[test]
-    fn cached_digests_track_contents_not_history() {
-        let pair = |v: &CowVec<u32>| {
-            let mut h = DefaultHasher::new();
-            v.hash_cached(&mut h);
-            h.finish()
-        };
-        let fresh: CowVec<u32> = (0..20).collect();
-        let mut touched: CowVec<u32> = (0..20).collect();
-        let baseline = pair(&touched); // seal every chunk
-        touched[9] = 99;
-        assert_ne!(pair(&touched), baseline, "a write must change the digest");
-        touched[9] = 9;
-        assert_eq!(pair(&touched), baseline, "contents restored, digest restored");
-        assert_eq!(pair(&fresh), baseline, "equal contents, equal digest stream");
-        // A clone of a sealed vec reads the same cached digests.
-        assert_eq!(pair(&fresh.clone()), baseline);
+    fn pop_undoes_push_across_chunk_boundaries() {
+        let mut v: CowVec<usize> = (0..9).collect();
+        let shared = v.clone();
+        assert_eq!(v.pop(), Some(8));
+        assert_eq!(v.len(), 8);
+        assert_eq!(v, (0..8).collect::<Vec<_>>());
+        v.push(42);
+        assert_eq!(v[8], 42);
+        assert_eq!(shared[8], 8, "a pop or push never reaches a sharer");
+        while v.pop().is_some() {}
+        assert!(v.is_empty());
+        assert_eq!(v, CowVec::new());
+        assert_eq!(v.pop(), None);
     }
 
     #[test]

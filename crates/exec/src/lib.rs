@@ -19,11 +19,17 @@
 //! [`step::bind_call`].
 //!
 //! Every engine also records its states in the one [`store`], keyed on
-//! fingerprints from the one [`TwoLaneHasher`] (kiss-lang's), which also
-//! digests [`CowVec`]'s chunks.
+//! fingerprints from the one [`TwoLaneHasher`] (kiss-lang's). A
+//! fingerprint folds in the [`digest`]s that [`Memory`] and each
+//! [`Frame`] keep current on every write, so recording a state costs
+//! O(frames), not O(memory). The explicit engine explores one
+//! configuration in place: a [`ThreadEnv`] given an [`UndoLog`] records
+//! each write's old value, and the search takes writes back instead of
+//! copying states at branches.
 
 pub mod cfg;
 pub mod cow;
+pub mod digest;
 pub mod error;
 pub mod eval;
 pub mod step;
@@ -32,8 +38,9 @@ pub mod value;
 
 pub use cfg::{FuncBody, Instr, InstrMeta, Module};
 pub use cow::CowVec;
+pub use digest::Digest;
 pub use error::ExecError;
 pub use eval::{eval_operand, eval_rvalue, exec_assign, place_addr, Env};
 pub use kiss_lang::fingerprint::{fingerprint_of, TwoLaneHasher};
-pub use step::{Fault, Frame, Step, ThreadEnv, TraceStep};
+pub use step::{Fault, Frame, Step, ThreadEnv, TraceStep, UndoLog};
 pub use value::{Addr, HeapObj, Memory, Value};

@@ -17,11 +17,17 @@ use kiss_lang::hir::{CallTarget, FuncId, LocalId, Operand, Origin, Place, Struct
 use kiss_lang::Span;
 
 use crate::cfg::{Instr, Module};
+use crate::digest::{Cell, Digest};
 use crate::error::ExecError;
 use crate::eval::{self, Env};
 use crate::value::{Addr, Memory, Value};
 
 /// One stack frame.
+///
+/// The locals are read-only from outside: every write goes through
+/// [`Frame::set_local`], which keeps the frame's [`Digest`] of them
+/// current. The digest is a function of the locals, so equality and
+/// `Hash` depend only on the contents.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Frame {
     /// The executing function.
@@ -29,17 +35,67 @@ pub struct Frame {
     /// Program counter into the function's lowered body.
     pub pc: usize,
     /// Local variable values (parameters first).
-    pub locals: Vec<Value>,
+    locals: Vec<Value>,
+    /// One term per local.
+    digest: Digest,
     /// Where the caller wants the return value stored (resolved in the
     /// caller's frame after this one pops).
     pub dest: Option<Place>,
 }
 
 impl Frame {
+    /// A frame entering `func` at pc 0 with these locals.
+    pub fn new(func: FuncId, locals: Vec<Value>, dest: Option<Place>) -> Frame {
+        let mut digest = Digest::default();
+        for (l, &value) in locals.iter().enumerate() {
+            digest.add(Cell::Local(l as u32), value);
+        }
+        Frame { func, pc: 0, locals, digest, dest }
+    }
+
     /// A frame entering `func` with the given arguments; remaining
     /// locals are defaulted per their declared types.
     pub fn enter(module: &Module, func: FuncId, args: &[Value], dest: Option<Place>) -> Frame {
-        Frame { func, pc: 0, locals: entry_locals(module, func, args.iter().copied()), dest }
+        Frame::new(func, entry_locals(module, func, args.iter().copied()), dest)
+    }
+
+    /// Local variable values (parameters first).
+    #[inline]
+    pub fn locals(&self) -> &[Value] {
+        &self.locals
+    }
+
+    /// Writes local `local`, returning the value it held; `None`,
+    /// writing nothing, when there is no such local.
+    #[inline]
+    pub fn set_local(&mut self, local: u32, value: Value) -> Option<Value> {
+        let old = std::mem::replace(self.locals.get_mut(local as usize)?, value);
+        if old != value {
+            self.digest.replace(Cell::Local(local), old, value);
+        }
+        Some(old)
+    }
+
+    /// The digest of the locals.
+    #[inline]
+    pub fn digest(&self) -> Digest {
+        self.digest
+    }
+
+    /// The digest recomputed from the locals alone, the oracle the
+    /// incremental one is checked against.
+    #[cfg(any(test, debug_assertions))]
+    pub fn digest_from_scratch(&self) -> Digest {
+        Frame::new(self.func, self.locals.clone(), self.dest).digest
+    }
+
+    /// In builds with debug assertions, panics unless the digest equals
+    /// [`Frame::digest_from_scratch`]; every engine calls it at each
+    /// state it records. Compiles to nothing otherwise.
+    #[inline]
+    pub fn debug_assert_digest(&self) {
+        #[cfg(any(test, debug_assertions))]
+        debug_assert_eq!(self.digest, self.digest_from_scratch(), "frame digest out of date");
     }
 }
 
@@ -74,12 +130,17 @@ pub struct TraceStep {
 /// The execution context of one thread: shared memory plus every
 /// thread's stack, with `tid` acting. Addresses of locals name their
 /// thread, so a pointer into another thread's frame resolves.
+///
+/// Every write to the state goes through the [`Memory`] and [`Frame`]
+/// setters, which keep the digests current, and, when the env carries
+/// an [`UndoLog`], is recorded there on the same path.
 pub struct ThreadEnv<'a> {
     module: &'a Module,
     mem: &'a mut Memory,
     /// One call stack per thread, the last frame executing.
     stacks: &'a mut [Vec<Frame>],
     tid: usize,
+    undo: Option<&'a mut UndoLog>,
 }
 
 impl<'a> ThreadEnv<'a> {
@@ -91,7 +152,15 @@ impl<'a> ThreadEnv<'a> {
         stacks: &'a mut [Vec<Frame>],
         tid: usize,
     ) -> Self {
-        ThreadEnv { module, mem, stacks, tid }
+        ThreadEnv { module, mem, stacks, tid, undo: None }
+    }
+
+    /// Records every write of this env in `log`, so that
+    /// [`UndoLog::undo_to`] can take it back.
+    #[inline]
+    pub fn with_undo(mut self, log: &'a mut UndoLog) -> Self {
+        self.undo = Some(log);
+        self
     }
 
     #[inline]
@@ -103,6 +172,34 @@ impl<'a> ThreadEnv<'a> {
     fn top_mut(&mut self) -> &mut Frame {
         self.stacks[self.tid].last_mut().expect("the acting thread has a frame")
     }
+
+    #[inline]
+    fn log(&mut self, entry: Undo) {
+        if let Some(log) = self.undo.as_deref_mut() {
+            log.entries.push(entry);
+        }
+    }
+
+    /// Pushes a callee's frame on the acting thread.
+    #[inline]
+    fn push_frame(&mut self, frame: Frame) {
+        self.stacks[self.tid].push(frame);
+        self.log(Undo::Push(self.tid as u32));
+    }
+
+    /// Pops the acting thread's top frame, returning its destination.
+    #[inline]
+    fn pop_frame(&mut self) -> Option<Place> {
+        let stack = &mut self.stacks[self.tid];
+        let frame = stack.pop().expect("the acting thread has a frame");
+        let dest = frame.dest;
+        if let Some(log) = self.undo.as_deref_mut() {
+            let caller_pc = stack.last().map(|caller| caller.pc);
+            log.entries.push(Undo::Pop { tid: self.tid as u32, caller_pc });
+            log.popped.push(frame);
+        }
+        dest
+    }
 }
 
 // Every access is `#[inline]`: the engines' step loops call them from
@@ -111,26 +208,24 @@ impl Env for ThreadEnv<'_> {
     #[inline]
     fn read_var(&self, v: VarRef) -> Value {
         match v {
-            VarRef::Global(g) => self.mem.globals[g.0 as usize],
+            VarRef::Global(g) => self.mem.globals()[g.0 as usize],
             VarRef::Local(LocalId(l)) => self.top().locals[l as usize],
         }
     }
 
     #[inline]
     fn write_var(&mut self, v: VarRef, val: Value) {
-        match v {
-            VarRef::Global(g) => self.mem.globals[g.0 as usize] = val,
-            VarRef::Local(LocalId(l)) => self.top_mut().locals[l as usize] = val,
-        }
+        let a = self.addr_of_var(v);
+        self.write_addr(a, val).expect("a variable's cell exists");
     }
 
     #[inline]
     fn read_addr(&self, a: Addr) -> Result<Value, ExecError> {
         match a {
-            Addr::Global(g) => Ok(self.mem.globals[g.0 as usize]),
+            Addr::Global(g) => Ok(self.mem.globals()[g.0 as usize]),
             Addr::Heap { obj, field } => self
                 .mem
-                .heap
+                .heap()
                 .get(obj as usize)
                 .and_then(|o| o.fields.get(field as usize))
                 .copied()
@@ -147,22 +242,21 @@ impl Env for ThreadEnv<'_> {
 
     #[inline]
     fn write_addr(&mut self, a: Addr, val: Value) -> Result<(), ExecError> {
-        let cell = match a {
-            Addr::Global(g) => &mut self.mem.globals[g.0 as usize],
-            Addr::Heap { obj, field } => self
-                .mem
-                .heap
-                .get_mut(obj as usize)
-                .and_then(|o| o.fields.get_mut(field as usize))
-                .ok_or(ExecError::BadField)?,
+        let old = match a {
+            Addr::Global(g) => self.mem.set_global(g, val),
+            Addr::Heap { obj, field } => {
+                self.mem.set_field(obj, field, val).ok_or(ExecError::BadField)?
+            }
             Addr::Local { tid, frame, local } => self
                 .stacks
                 .get_mut(tid as usize)
                 .and_then(|s| s.get_mut(frame as usize))
-                .and_then(|f| f.locals.get_mut(local as usize))
+                .and_then(|f| f.set_local(local, val))
                 .ok_or(ExecError::DanglingLocal)?,
         };
-        *cell = val;
+        if old != val {
+            self.log(Undo::Write(a, old));
+        }
         Ok(())
     }
 
@@ -180,7 +274,97 @@ impl Env for ThreadEnv<'_> {
 
     #[inline]
     fn malloc(&mut self, sid: StructId) -> u32 {
-        self.mem.malloc(&self.module.program, sid)
+        let obj = self.mem.malloc(&self.module.program, sid);
+        self.log(Undo::Malloc);
+        obj
+    }
+}
+
+/// One change to a state that an [`UndoLog`] can take back.
+#[derive(Debug, Clone, Copy)]
+enum Undo {
+    /// A cell held this value before a write.
+    Write(Addr, Value),
+    /// The last heap object was allocated.
+    Malloc,
+    /// A frame was pushed on this thread's stack.
+    Push(u32),
+    /// Thread `tid`'s top frame was popped; it waits on the log's
+    /// `popped` stack. The caller it returned to, if any, sat at
+    /// `caller_pc` then.
+    Pop { tid: u32, caller_pc: Option<usize> },
+}
+
+/// The changes a [`ThreadEnv`] made, newest last, so that a depth-first
+/// search can restore an earlier state in place instead of keeping a
+/// copy of it: SPIN's depth-first search restores states by undoing
+/// transitions (Holzmann, *The Model Checker SPIN*, IEEE TSE 1997).
+///
+/// Pc moves are not logged. Only the top frame's pc changes, so a
+/// search restores it itself: the top frame at the restore point gets
+/// the pc it resumes at, and a frame that became the top since has its
+/// pc put back when the pop that exposed it is undone.
+///
+/// The log holds one entry per changed cell, allocation, push and pop,
+/// plus the frames those pops removed. In a depth-first search that
+/// undoes to each branch point it backtracks to, these are the changes
+/// along the current path from the initial state: the log is bounded by
+/// the writes along that path and, as a step writes at most a few
+/// cells, by the step budget.
+#[derive(Debug, Default)]
+pub struct UndoLog {
+    entries: Vec<Undo>,
+    popped: Vec<Frame>,
+}
+
+impl UndoLog {
+    /// An empty log.
+    pub fn new() -> Self {
+        UndoLog::default()
+    }
+
+    /// The number of entries, the position [`UndoLog::undo_to`] takes
+    /// the state back to.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether nothing is logged.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Takes back, newest first, every change logged since the log had
+    /// `len` entries, leaving `mem` and `stacks` as they were then but
+    /// for the top frame's pc (see the type's docs).
+    pub fn undo_to(&mut self, len: usize, mem: &mut Memory, stacks: &mut [Vec<Frame>]) {
+        while self.entries.len() > len {
+            match self.entries.pop().expect("longer than len") {
+                Undo::Write(Addr::Global(g), old) => {
+                    mem.set_global(g, old);
+                }
+                Undo::Write(Addr::Heap { obj, field }, old) => {
+                    mem.set_field(obj, field, old).expect("a written field");
+                }
+                Undo::Write(Addr::Local { tid, frame, local }, old) => {
+                    let frame = &mut stacks[tid as usize][frame as usize];
+                    frame.set_local(local, old).expect("a written local");
+                }
+                Undo::Malloc => mem.free_last(),
+                Undo::Push(tid) => {
+                    stacks[tid as usize].pop().expect("a pushed frame");
+                }
+                Undo::Pop { tid, caller_pc } => {
+                    let stack = &mut stacks[tid as usize];
+                    if let Some(pc) = caller_pc {
+                        stack.last_mut().expect("the caller").pc = pc;
+                    }
+                    stack.push(self.popped.pop().expect("a popped frame"));
+                }
+            }
+        }
     }
 }
 
@@ -257,21 +441,21 @@ pub fn step<'m>(env: &mut ThreadEnv<'_>, instr: &'m Instr) -> Result<Step<'m>, F
         Instr::Call { dest, target, args } => {
             let (func, locals) = bind_call(env.module, env, *target, args)?;
             env.top_mut().pc += 1;
-            env.stacks[env.tid].push(Frame { func, pc: 0, locals, dest: *dest });
+            env.push_frame(Frame::new(func, locals, *dest));
             return Ok(Step::Continue);
         }
         Instr::Async { target, args } => {
             let (func, locals) = bind_call(env.module, env, *target, args)?;
             env.top_mut().pc += 1;
-            return Ok(Step::Spawn(Frame { func, pc: 0, locals, dest: None }));
+            return Ok(Step::Spawn(Frame::new(func, locals, None)));
         }
         Instr::Return(op) => {
             let ret = op.map_or(Value::Null, |o| eval::eval_operand(env, &o));
-            let finished = env.stacks[env.tid].pop().expect("the acting thread has a frame");
+            let dest = env.pop_frame();
             if env.stacks[env.tid].is_empty() {
                 return Ok(Step::Finished);
             }
-            if let Some(dest) = finished.dest {
+            if let Some(dest) = dest {
                 let addr = eval::place_addr(env, &dest)?;
                 env.write_addr(addr, ret)?;
             }
@@ -359,7 +543,7 @@ mod tests {
         let (mut mem, mut stacks) = initial(&m);
         assert_eq!(run(&m, &mut mem, &mut stacks), Ok(Step::Finished));
         assert!(stacks[0].is_empty());
-        assert_eq!(mem.globals[0], Value::Int(8));
+        assert_eq!(mem.globals()[0], Value::Int(8));
     }
 
     #[test]
@@ -390,7 +574,7 @@ mod tests {
             panic!("expected a spawn")
         };
         assert_eq!(frame.func, m.program.func_by_name("w").unwrap());
-        assert_eq!(frame.locals, vec![Value::Int(3)]);
+        assert_eq!(frame.locals(), [Value::Int(3)]);
         assert_eq!(frame.pc, 0);
         assert_eq!(stacks[0][0].pc, 1, "the caller moved past the async");
     }
@@ -413,7 +597,7 @@ mod tests {
         let m = module("void f(int a, bool b) { int c; skip; } void main() { f(1, true); }");
         let f = m.program.func_by_name("f").unwrap();
         let fr = Frame::enter(&m, f, &[Value::Int(9), Value::Bool(true)], None);
-        assert_eq!(fr.locals, vec![Value::Int(9), Value::Bool(true), Value::Int(0)]);
+        assert_eq!(fr.locals(), [Value::Int(9), Value::Bool(true), Value::Int(0)]);
     }
 
     #[test]

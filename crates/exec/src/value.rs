@@ -4,12 +4,11 @@
 //! each operation that operand shapes match, and report a runtime error
 //! (distinct from an assertion failure) otherwise.
 
-use std::hash::Hasher;
-
 use kiss_lang::hir::{Const, FuncId, GlobalId, StructId};
 use kiss_lang::Program;
 
 use crate::cow::CowVec;
+use crate::digest::{Cell, Digest};
 
 /// The address of a memory cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -127,53 +126,133 @@ pub struct HeapObj {
     pub fields: Vec<Value>,
 }
 
-/// Shared memory: globals plus the heap. Thread stacks live in the
-/// engines' own configurations.
+/// Shared memory: globals plus the heap, and a [`Digest`] of both.
+/// Thread stacks live in the engines' own configurations.
 ///
-/// Both stores are [`CowVec`]s: cloning a `Memory` into a frontier or
-/// branch alternative bumps per-chunk reference counts, and the first
-/// write through [`CowVec::get_mut`] copies only the touched chunk.
+/// Both stores are [`CowVec`]s: cloning a `Memory` into a frontier slot
+/// bumps per-chunk reference counts, and the first write to a shared
+/// chunk copies only that chunk. They are read-only from outside:
+/// every write goes through [`Memory::set_global`],
+/// [`Memory::set_field`] or [`Memory::malloc`], which keep the digest
+/// current. The digest is a function of the contents and is compared
+/// last, so equality, ordering and `Hash` depend only on the contents.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Memory {
-    /// One value per global.
-    pub globals: CowVec<Value>,
-    /// Allocated objects, in allocation order.
-    pub heap: CowVec<HeapObj>,
+    globals: CowVec<Value>,
+    heap: CowVec<HeapObj>,
+    /// One term per global, heap field and heap-object header.
+    digest: Digest,
 }
 
 impl Memory {
     /// Initial memory for a program: globals set to their initializers
     /// or type defaults, empty heap.
     pub fn initial(program: &Program) -> Memory {
-        let globals = program
-            .globals
-            .iter()
-            .map(|gd| match gd.init {
+        let mut mem = Memory::default();
+        for (g, gd) in program.globals.iter().enumerate() {
+            let value = match gd.init {
                 Some(c) => Value::from_const(c),
                 None => Value::default_for(gd.ty.as_ref()),
-            })
-            .collect();
-        Memory { globals, heap: CowVec::new() }
+            };
+            mem.digest.add(Cell::Global(g as u32), value);
+            mem.globals.push(value);
+        }
+        mem
     }
 
-    /// Feeds globals and heap into `state` through their cached chunk
-    /// digests ([`CowVec::hash_cached`]): a chunk shared with another
-    /// state is hashed once, whichever state asks first. Equal memories
-    /// feed equal streams, whatever their sharing history; the stream is
-    /// not the derived `Hash` one, so a visited table must use one of
-    /// the two throughout.
-    pub fn hash_cached<H: Hasher>(&self, state: &mut H) {
-        self.globals.hash_cached(state);
-        self.heap.hash_cached(state);
+    /// One value per global.
+    #[inline]
+    pub fn globals(&self) -> &CowVec<Value> {
+        &self.globals
+    }
+
+    /// Allocated objects, in allocation order.
+    #[inline]
+    pub fn heap(&self) -> &CowVec<HeapObj> {
+        &self.heap
+    }
+
+    /// The digest of the current contents.
+    #[inline]
+    pub fn digest(&self) -> Digest {
+        self.digest
+    }
+
+    /// Writes global `g`, returning the value it held.
+    #[inline]
+    pub fn set_global(&mut self, g: GlobalId, value: Value) -> Value {
+        // Read first: a write of the value already there leaves a chunk
+        // shared with a sibling state uncopied.
+        let old = self.globals[g.0 as usize];
+        if old != value {
+            self.globals[g.0 as usize] = value;
+            self.digest.replace(Cell::Global(g.0), old, value);
+        }
+        old
+    }
+
+    /// Writes field `field` of object `obj`, returning the value it
+    /// held; `None`, writing nothing, when there is no such field.
+    #[inline]
+    pub fn set_field(&mut self, obj: u32, field: u32, value: Value) -> Option<Value> {
+        let old = *self.heap.get(obj as usize)?.fields.get(field as usize)?;
+        if old != value {
+            self.heap[obj as usize].fields[field as usize] = value;
+            self.digest.replace(Cell::Field(obj, field), old, value);
+        }
+        Some(old)
     }
 
     /// Allocates a struct instance with all fields defaulted, returning
     /// the address of the object (field 0).
     pub fn malloc(&mut self, program: &Program, sid: StructId) -> u32 {
         let def = &program.structs[sid.0 as usize];
-        let fields = def.fields.iter().map(|(_, ty)| Value::default_for(Some(ty))).collect();
+        let obj = self.heap.len() as u32;
+        let fields: Vec<Value> =
+            def.fields.iter().map(|(_, ty)| Value::default_for(Some(ty))).collect();
+        self.digest.add(Cell::Object(obj), sid);
+        for (f, &value) in fields.iter().enumerate() {
+            self.digest.add(Cell::Field(obj, f as u32), value);
+        }
         self.heap.push(HeapObj { struct_id: sid, fields });
-        (self.heap.len() - 1) as u32
+        obj
+    }
+
+    /// Frees the most recently allocated object: takes back a
+    /// [`Memory::malloc`].
+    pub(crate) fn free_last(&mut self) {
+        let obj = self.heap.pop().expect("an allocated object");
+        let id = self.heap.len() as u32;
+        self.digest.remove(Cell::Object(id), obj.struct_id);
+        for (f, &value) in obj.fields.iter().enumerate() {
+            self.digest.remove(Cell::Field(id, f as u32), value);
+        }
+    }
+
+    /// The digest recomputed from the contents alone, the oracle the
+    /// incremental one is checked against.
+    #[cfg(any(test, debug_assertions))]
+    pub fn digest_from_scratch(&self) -> Digest {
+        let mut digest = Digest::default();
+        for (g, &value) in self.globals.iter().enumerate() {
+            digest.add(Cell::Global(g as u32), value);
+        }
+        for (obj, o) in self.heap.iter().enumerate() {
+            digest.add(Cell::Object(obj as u32), o.struct_id);
+            for (f, &value) in o.fields.iter().enumerate() {
+                digest.add(Cell::Field(obj as u32, f as u32), value);
+            }
+        }
+        digest
+    }
+
+    /// In builds with debug assertions, panics unless the digest equals
+    /// [`Memory::digest_from_scratch`]; every engine calls it at each
+    /// state it records. Compiles to nothing otherwise.
+    #[inline]
+    pub fn debug_assert_digest(&self) {
+        #[cfg(any(test, debug_assertions))]
+        debug_assert_eq!(self.digest, self.digest_from_scratch(), "memory digest out of date");
     }
 }
 
@@ -215,8 +294,9 @@ mod tests {
     fn initial_memory_uses_initializers() {
         let p = parse_and_lower("int a = 5; bool b; int c; void main() { skip; }").unwrap();
         let mem = Memory::initial(&p);
-        assert_eq!(mem.globals, vec![Value::Int(5), Value::Bool(false), Value::Int(0)]);
-        assert!(mem.heap.is_empty());
+        assert_eq!(*mem.globals(), vec![Value::Int(5), Value::Bool(false), Value::Int(0)]);
+        assert!(mem.heap().is_empty());
+        assert_eq!(mem.digest(), mem.digest_from_scratch());
     }
 
     #[test]
@@ -225,9 +305,30 @@ mod tests {
         let mut mem = Memory::initial(&p);
         let obj = mem.malloc(&p, kiss_lang::StructId(0));
         assert_eq!(obj, 0);
-        assert_eq!(mem.heap[0].fields, vec![Value::Int(0), Value::Bool(false), Value::Null]);
+        assert_eq!(mem.heap()[0].fields, vec![Value::Int(0), Value::Bool(false), Value::Null]);
         let obj2 = mem.malloc(&p, kiss_lang::StructId(0));
         assert_eq!(obj2, 1);
+        assert_eq!(mem.digest(), mem.digest_from_scratch());
+    }
+
+    #[test]
+    fn setters_keep_the_digest_and_return_the_old_value() {
+        let p = parse_and_lower("struct D { int x; } int a; int b; void main() { skip; }").unwrap();
+        let fresh = Memory::initial(&p);
+        let mut mem = fresh.clone();
+        assert_eq!(mem.set_global(GlobalId(1), Value::Int(4)), Value::Int(0));
+        let obj = mem.malloc(&p, StructId(0));
+        assert_eq!(mem.set_field(obj, 0, Value::Int(7)), Some(Value::Int(0)));
+        assert_eq!(mem.set_field(obj, 1, Value::Int(7)), None, "no such field");
+        assert_eq!(mem.set_field(obj + 1, 0, Value::Int(7)), None, "no such object");
+        assert_eq!(mem.digest(), mem.digest_from_scratch());
+        assert_ne!(mem, fresh);
+        // Taking every write back restores the digest and equality.
+        mem.free_last();
+        mem.set_global(GlobalId(1), Value::Int(0));
+        assert_eq!(mem.digest(), fresh.digest());
+        assert_eq!(mem, fresh);
+        assert_eq!(mem.cmp(&fresh), std::cmp::Ordering::Equal);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! The one fingerprint hasher: every state a search records, every
-//! cached chunk digest of kiss-exec's `CowVec`, the serve daemon's cache
-//! key and the front end's remembered body keys are 128 bits from one
-//! [`TwoLaneHasher`] pass. It lives here, below the front end, so that
+//! The one fingerprint hasher: every state a search records, every term
+//! of kiss-exec's incremental memory and frame digests, the serve
+//! daemon's cache key and the front end's remembered body keys are 128
+//! bits from one [`TwoLaneHasher`] pass. It lives here, below the front end, so that
 //! kiss-lang can key bodies with it; kiss-exec re-exports it.
 //!
 //! The daemon persists cache keys in its journal, so the hasher's

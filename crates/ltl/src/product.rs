@@ -160,7 +160,7 @@ impl<'a> ProductChecker<'a> {
     fn label_holds(&self, state: &BuchiState, config: &Config) -> bool {
         let truth = |atom: u32| -> bool {
             let (global, cmp) = self.atoms[atom as usize];
-            match config.mem.globals.get(global as usize) {
+            match config.mem.globals().get(global as usize) {
                 None => false,
                 Some(v) => match cmp {
                     None => v.truthy(),
@@ -242,6 +242,7 @@ impl<'a> ProductChecker<'a> {
         let mut frontier: Vec<(StateId, u32, Config)> = Vec::new();
 
         let root = Config::initial(self.module);
+        root.debug_assert_digests();
         let root_fp = root.fingerprint();
         for &q in &self.buchi.initial {
             if self.label_holds(&self.buchi.states[q as usize], &root) {
@@ -303,11 +304,12 @@ impl<'a> ProductChecker<'a> {
                         let mut steps = trace_to(&interner, *id, |id| parents[id.0 as usize]);
                         steps.push(step);
                         let trace =
-                            ErrorTrace { steps, globals: config.mem.globals.to_vec() };
+                            ErrorTrace { steps, globals: config.mem.globals().to_vec() };
                         return (LtlVerdict::RuntimeError(e, trace), stats!());
                     }
                     Ok(succs) => {
                         for (c2, q2, step) in succs {
+                            c2.debug_assert_digests();
                             let cfp = c2.fingerprint();
                             let fp = fingerprint_of(&(cfp.0, cfp.1, q2));
                             let (sid, fresh) = match visited.insert(fp) {

@@ -137,6 +137,7 @@ impl<'a> BfsChecker<'a> {
             Some(cap) => VisitedTable::new().with_capacity_limit(cap),
             None => VisitedTable::new(),
         };
+        root.debug_assert_digests();
         let (root_id, _) = visited
             .insert(root.fingerprint())
             .expect("an empty table is never at capacity");
@@ -181,6 +182,7 @@ impl<'a> BfsChecker<'a> {
                     // once; the edge segment is interned only when some
                     // alternative is new; the last new alternative
                     // inherits the parked config instead of cloning it.
+                    config.debug_assert_digests();
                     let base = config.fingerprint_base();
                     let mut seg = None;
                     let mut pending = None;
@@ -257,7 +259,7 @@ impl<'a> BfsChecker<'a> {
                 Ok(Step::Spawn(_)) => ExecError::AsyncInSequential.into(),
                 Err(fault) => fault,
             };
-            return SegmentEnd::Error(fault, config.mem.globals.to_vec());
+            return SegmentEnd::Error(fault, config.mem.globals().to_vec());
         }
     }
 }

@@ -4,17 +4,19 @@
 //! [`VisitedTable`](kiss_exec::store::VisitedTable).
 //!
 //! A fingerprint is 128 bits from one [`TwoLaneHasher`] traversal, the
-//! hasher every engine shares. Memory goes in through the per-chunk
-//! digests cached inside its shared chunks ([`Memory::hash_cached`]),
-//! so the cost of recording a state follows what its path wrote, not
-//! the size of memory. The stack goes in
-//! element-wise, the top frame's pc last, so BFS can hash a branch's
-//! shared part once ([`Config::fingerprint_base`]) and finish each
-//! alternative with its pc.
+//! hasher every engine shares. Memory goes in as the [`Digest`] it keeps
+//! current on every write, and each frame as its function, pc,
+//! destination and the digest of its locals, so recording a state costs
+//! O(frames) whatever the size of memory. The top frame's pc goes in
+//! last, so BFS can hash a branch's shared part once
+//! ([`Config::fingerprint_base`]) and finish each alternative with its
+//! pc.
+//!
+//! [`Digest`]: kiss_exec::Digest
 
 use std::hash::{Hash, Hasher};
 
-use kiss_exec::{Frame, Memory, Module, ThreadEnv, TwoLaneHasher, Value};
+use kiss_exec::{Frame, Memory, Module, ThreadEnv, TwoLaneHasher, UndoLog};
 
 /// The whole sequential state: memory plus the call stack.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -42,6 +44,13 @@ impl Config {
         ThreadEnv::new(module, &mut self.mem, std::slice::from_mut(&mut self.stack), 0)
     }
 
+    /// Takes back every change `log` recorded since it had `len`
+    /// entries; the top frame's pc is the caller's to set (see
+    /// [`UndoLog::undo_to`]).
+    pub fn undo_to(&mut self, log: &mut UndoLog, len: usize) {
+        log.undo_to(len, &mut self.mem, std::slice::from_mut(&mut self.stack));
+    }
+
     /// The 128-bit fingerprint every engine keys its visited table on:
     /// [`Config::fingerprint_base`] finished with the top frame's pc.
     ///
@@ -55,17 +64,16 @@ impl Config {
 
     /// Everything of the fingerprint but the top frame's pc, in one
     /// traversal: every hash write feeds two independently seeded
-    /// multiply-rotate lanes, and memory goes in through its cached
-    /// chunk digests ([`Memory::hash_cached`]). A driver harness's heap
-    /// holds a wide extension struct of which a path writes a few
-    /// fields, so most of its chunks cost one digest load.
+    /// multiply-rotate lanes. Memory and each frame's locals go in as
+    /// their digests ([`Memory::digest`], [`Frame::digest`]), so the cost
+    /// follows the stack depth, not the size of memory.
     ///
     /// On a nondeterministic branch every alternative differs from its
     /// siblings only in the top pc, so BFS hashes the base once and
     /// finishes each alternative with [`FpBase::with_pc`].
     pub fn fingerprint_base(&self) -> FpBase {
         let mut h = TwoLaneHasher::new();
-        self.mem.hash_cached(&mut h);
+        self.mem.digest().hash(&mut h);
         h.write_usize(self.stack.len());
         let top = self.stack.len().wrapping_sub(1);
         for (i, frame) in self.stack.iter().enumerate() {
@@ -73,10 +81,19 @@ impl Config {
             if i != top {
                 frame.pc.hash(&mut h);
             }
-            frame.locals.hash(&mut h);
             frame.dest.hash(&mut h);
+            frame.digest().hash(&mut h);
         }
         FpBase { h }
+    }
+
+    /// In builds with debug assertions, panics unless the memory's and
+    /// every frame's digest equal their from-scratch recomputation.
+    /// Every sequential engine calls it at each state it records.
+    #[inline]
+    pub fn debug_assert_digests(&self) {
+        self.mem.debug_assert_digest();
+        self.stack.iter().for_each(Frame::debug_assert_digest);
     }
 }
 
@@ -99,20 +116,24 @@ impl FpBase {
     }
 }
 
-/// The fingerprint of the summary engine's intra-function state: `mem`
-/// through its cached chunk digests, as in [`Config::fingerprint_base`],
-/// then the locals and the pc.
-pub(crate) fn state_fingerprint(mem: &Memory, locals: &[Value], pc: usize) -> (u64, u64) {
+/// The fingerprint of the summary engine's intra-function state, one
+/// frame over `mem`: the memory digest, then the frame's function, pc,
+/// destination and digest, as in [`Config::fingerprint_base`].
+pub(crate) fn state_fingerprint(mem: &Memory, frame: &Frame) -> (u64, u64) {
     let mut h = TwoLaneHasher::new();
-    mem.hash_cached(&mut h);
-    locals.hash(&mut h);
-    h.write_usize(pc);
+    mem.digest().hash(&mut h);
+    frame.func.hash(&mut h);
+    h.write_usize(frame.pc);
+    frame.dest.hash(&mut h);
+    frame.digest().hash(&mut h);
     h.finish_pair()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kiss_exec::Value;
+    use kiss_lang::hir::GlobalId;
     use kiss_lang::parse_and_lower;
 
     fn module(src: &str) -> Module {
@@ -125,8 +146,8 @@ mod tests {
         let c = Config::initial(&m);
         assert_eq!(c.stack.len(), 1);
         assert_eq!(c.stack[0].func, m.program.main);
-        assert_eq!(c.stack[0].locals, vec![Value::Int(0), Value::Bool(false)]);
-        assert_eq!(c.mem.globals, vec![Value::Int(7)]);
+        assert_eq!(c.stack[0].locals(), [Value::Int(0), Value::Bool(false)]);
+        assert_eq!(*c.mem.globals(), vec![Value::Int(7)]);
     }
 
     #[test]
@@ -135,7 +156,7 @@ mod tests {
         let c1 = Config::initial(&m);
         let mut c2 = c1.clone();
         assert_eq!(c1.fingerprint(), c2.fingerprint());
-        c2.mem.globals[0] = Value::Int(1);
+        c2.mem.set_global(GlobalId(0), Value::Int(1));
         assert_ne!(c1.fingerprint(), c2.fingerprint());
         let mut c3 = c1.clone();
         c3.stack[0].pc = 1;
@@ -145,7 +166,7 @@ mod tests {
     /// The historical fingerprint: two complete `DefaultHasher`
     /// traversals of the derived `Hash`, the second seeded. Kept as the
     /// distribution oracle: any family of configurations the old scheme
-    /// kept distinct, the cached-digest fingerprint must keep distinct
+    /// kept distinct, the incremental-digest fingerprint must keep distinct
     /// too (no new collisions).
     fn double_pass_fingerprint(c: &Config) -> (u64, u64) {
         let mut h1 = std::collections::hash_map::DefaultHasher::new();
@@ -169,7 +190,7 @@ mod tests {
         // step: globals, pc, extra frames, heap objects — every part of
         // the hashed structure.
         assert_eq!(c.fingerprint(), c.clone().fingerprint());
-        c.mem.globals[0] = Value::Int(41);
+        c.mem.set_global(GlobalId(0), Value::Int(41));
         assert_eq!(c.fingerprint(), c.clone().fingerprint());
         c.stack[0].pc = 2;
         assert_eq!(c.fingerprint(), c.clone().fingerprint());
@@ -186,7 +207,7 @@ mod tests {
         // A family of systematically distinct configurations spanning
         // globals, pc, stack depth, and heap contents. The old
         // double-pass scheme kept all of them distinct; the
-        // cached-digest fingerprint must introduce no new collisions.
+        // incremental-digest fingerprint must introduce no new collisions.
         let m = module(
             "struct D { int x; int y; }
              int g; int h;
@@ -200,8 +221,8 @@ mod tests {
             for h in 0..40 {
                 for shape in 0..4 {
                     let mut c = Config::initial(&m);
-                    c.mem.globals[0] = Value::Int(g);
-                    c.mem.globals[1] = Value::Int(h);
+                    c.mem.set_global(GlobalId(0), Value::Int(g));
+                    c.mem.set_global(GlobalId(1), Value::Int(h));
                     match shape {
                         0 => {}
                         1 => c.stack[0].pc = 1,
@@ -211,7 +232,7 @@ mod tests {
                         }
                         _ => {
                             let obj = c.mem.malloc(&m.program, kiss_lang::hir::StructId(0));
-                            c.mem.heap[obj as usize].fields[0] = Value::Int(h);
+                            c.mem.set_field(obj, 0, Value::Int(h));
                         }
                     }
                     old_seen.insert(double_pass_fingerprint(&c));
@@ -232,7 +253,7 @@ mod tests {
             "int g; void f(int a) { int l; l = a; } void main() { g = 1; g = 2; }",
         );
         let mut c = Config::initial(&m);
-        c.mem.globals[0] = Value::Int(3);
+        c.mem.set_global(GlobalId(0), Value::Int(3));
         // Sibling alternatives: same base, different top pc. Each must
         // equal the split fingerprint computed from scratch on a config
         // that actually sits at that pc, and distinct pcs must yield
@@ -247,7 +268,7 @@ mod tests {
         }
         // The base is sensitive to everything below the top pc.
         let mut other = c.clone();
-        other.mem.globals[0] = Value::Int(4);
+        other.mem.set_global(GlobalId(0), Value::Int(4));
         assert_ne!(base.with_pc(0), other.fingerprint_base().with_pc(0));
         let f = m.program.func_by_name("f").unwrap();
         let mut deeper = c.clone();
@@ -277,12 +298,12 @@ mod tests {
             c
         };
         let mut c = build();
-        let before = c.fingerprint(); // seals every chunk's digest
-        c.mem.globals[1] = Value::Int(5);
-        c.mem.heap[0].fields[1] = Value::Int(6);
+        let before = c.fingerprint();
+        c.mem.set_global(GlobalId(1), Value::Int(5));
+        c.mem.set_field(0, 1, Value::Int(6));
         assert_ne!(c.fingerprint(), before, "writes must change the fingerprint");
-        c.mem.globals[1] = Value::Int(0);
-        c.mem.heap[0].fields[1] = Value::Int(0);
+        c.mem.set_global(GlobalId(1), Value::Int(0));
+        c.mem.set_field(0, 1, Value::Int(0));
         assert_eq!(c.fingerprint(), before);
         assert_eq!(c.fingerprint(), build().fingerprint());
         assert_eq!(c.fingerprint(), c.clone().fingerprint());
@@ -293,13 +314,18 @@ mod tests {
         let m = module("struct D { int x; int y; } int g; void main() { D *p; p = malloc(D); }");
         let mut mem = Memory::initial(&m.program);
         mem.malloc(&m.program, kiss_lang::hir::StructId(0));
+        let at = |locals: &[Value], pc: usize| {
+            let mut frame = Frame::new(m.program.main, locals.to_vec(), None);
+            frame.pc = pc;
+            frame
+        };
         let locals = vec![Value::Int(1), Value::Null];
-        let base = state_fingerprint(&mem, &locals, 3);
-        assert_eq!(base, state_fingerprint(&mem.clone(), &locals.clone(), 3));
-        assert_ne!(base, state_fingerprint(&mem, &[Value::Int(2), Value::Null], 3));
-        assert_ne!(base, state_fingerprint(&mem, &locals, 4));
+        let base = state_fingerprint(&mem, &at(&locals, 3));
+        assert_eq!(base, state_fingerprint(&mem.clone(), &at(&locals.clone(), 3)));
+        assert_ne!(base, state_fingerprint(&mem, &at(&[Value::Int(2), Value::Null], 3)));
+        assert_ne!(base, state_fingerprint(&mem, &at(&locals, 4)));
         let mut other = mem.clone();
-        other.heap[0].fields[1] = Value::Int(1);
-        assert_ne!(base, state_fingerprint(&other, &locals, 3));
+        other.set_field(0, 1, Value::Int(1));
+        assert_ne!(base, state_fingerprint(&other, &at(&locals, 3)));
     }
 }

@@ -6,23 +6,29 @@
 //! the engine KISS feeds the sequentialized program to, playing the
 //! role SLAM plays in the paper's Figure 1.
 //!
+//! The search keeps one configuration and changes it in place. Every
+//! write is recorded in an [`UndoLog`], and a pending alternative is only
+//! the pc it resumes at plus the trace and log lengths at its branch:
+//! resuming it undoes the log back to that length and sets the pc, as
+//! SPIN's depth-first search restores states by undoing transitions.
+//! No configuration is ever copied. The log holds the changes along
+//! the current path, so it is bounded by the step budget.
+//!
 //! A state is recorded before every `Call` and `NondetJump`, through
-//! [`Config::fingerprint`]. Memory enters the fingerprint as the cached
-//! digests of its copy-on-write chunks, so a recorded state re-hashes
-//! only the chunks its path wrote since they were last shared; the
-//! rest of a driver harness's heap costs one digest load per chunk.
+//! [`Config::fingerprint`]. Memory and frames keep their digests
+//! current on every write, so recording costs O(frames).
 //!
 //! At a branch, an alternative whose first instruction is an `assume`
-//! already false gets no configuration copy: run, it would cost one
+//! already false is accounted without running it: it would cost one
 //! step and end its path. The search accounts it in DFS order instead,
 //! inline when it comes before the first live alternative, else as a
-//! configuration-less entry on the pending stack, so steps, states and
-//! paths are those of running it.
+//! dead entry on the pending stack, so steps, states and paths are
+//! those of running it.
 
 use kiss_exec::eval::eval_cond;
 use kiss_exec::step::{self, Step};
 use kiss_exec::store::{StateCapExceeded, VisitedTable};
-use kiss_exec::{ExecError, Instr, Module, TraceStep};
+use kiss_exec::{ExecError, Instr, Module, TraceStep, UndoLog};
 use kiss_obs::Obs;
 
 use crate::budget::{BoundReason, Budget, Meter};
@@ -84,10 +90,13 @@ impl<'a> ExplicitChecker<'a> {
             meter: Meter::new(self.budget, self.cancel.clone())
                 .with_observer(self.obs.clone(), "explicit"),
             visited: VisitedTable::new(),
+            config: Config::initial(self.module),
+            log: UndoLog::new(),
             trace: Vec::with_capacity(256),
             pending: {
+                // The first path: `main` from its entry.
                 let mut pending = Vec::with_capacity(32);
-                pending.push((Some(Config::initial(self.module)), 0));
+                pending.push((Some(0), 0, 0));
                 pending
             },
             paths: 0,
@@ -112,10 +121,15 @@ struct Search<'a> {
     module: &'a Module,
     meter: Meter,
     visited: VisitedTable,
+    /// The one configuration, changed in place.
+    config: Config,
+    /// Every change to `config` along the current path.
+    log: UndoLog,
     trace: Vec<TraceStep>,
-    /// Alternatives left to run, with the trace length at their branch;
-    /// `None` is a dead alternative.
-    pending: Vec<(Option<Config>, usize)>,
+    /// Alternatives left to run: the top frame's pc to resume at
+    /// (`None` for a dead alternative), and the trace and undo-log
+    /// lengths at their branch.
+    pending: Vec<(Option<usize>, usize, usize)>,
     paths: u64,
     frontier_peak: usize,
 }
@@ -129,10 +143,14 @@ enum PathEnd {
 
 impl Search<'_> {
     fn run(&mut self) -> Verdict {
-        while let Some((config, trace_len)) = self.pending.pop() {
+        while let Some((alt, trace_len, log_len)) = self.pending.pop() {
             self.trace.truncate(trace_len);
-            let end = match config {
-                Some(config) => self.run_path(config),
+            let end = match alt {
+                Some(pc) => {
+                    self.config.undo_to(&mut self.log, log_len);
+                    self.config.stack.last_mut().expect("nonempty").pc = pc;
+                    self.run_path()
+                }
                 None => self.run_dead(),
             };
             match end {
@@ -143,11 +161,12 @@ impl Search<'_> {
         Verdict::Pass
     }
 
-    /// Records a state fingerprint; `Ok(false)` if it was already
-    /// visited (path should be pruned), `Err` when the store's id space
-    /// ran out (the search stops as inconclusive).
-    fn record(&mut self, config: &Config) -> Result<bool, Verdict> {
-        match self.visited.insert(config.fingerprint()) {
+    /// Records the current state's fingerprint; `Ok(false)` if it was
+    /// already visited (path should be pruned), `Err` when the store's
+    /// id space ran out (the search stops as inconclusive).
+    fn record(&mut self) -> Result<bool, Verdict> {
+        self.config.debug_assert_digests();
+        match self.visited.insert(self.config.fingerprint()) {
             Ok((_, true)) => {
                 self.meter.note_states(self.visited.len());
                 Ok(true)
@@ -166,12 +185,13 @@ impl Search<'_> {
         }
     }
 
-    /// Runs one path to completion, pushing alternatives onto
-    /// `self.pending` at nondeterministic branch points.
-    fn run_path(&mut self, mut config: Config) -> PathEnd {
+    /// Runs the current configuration to the end of its path, pushing
+    /// alternatives onto `self.pending` at nondeterministic branch
+    /// points.
+    fn run_path(&mut self) -> PathEnd {
         let module = self.module;
         loop {
-            let Some((instr, at)) = step::current(module, &config.stack) else {
+            let Some((instr, at)) = step::current(module, &self.config.stack) else {
                 return PathEnd::Done; // program finished
             };
             if let Err(reason) = self.meter.tick() {
@@ -182,13 +202,14 @@ impl Search<'_> {
             // cycle in lowered code passes through a NondetJump (the
             // `iter` header) or a Call.
             if matches!(instr, Instr::Call { .. } | Instr::NondetJump(_)) {
-                match self.record(&config) {
+                match self.record() {
                     Ok(true) => {}
                     Ok(false) => return PathEnd::Done,
                     Err(v) => return PathEnd::Stop(v),
                 }
             }
-            let fault = match step::step(&mut config.thread(module), instr) {
+            let mut env = self.config.thread(module).with_undo(&mut self.log);
+            let fault = match step::step(&mut env, instr) {
                 Ok(Step::Continue) => continue,
                 Ok(Step::Finished | Step::Pruned) => return PathEnd::Done,
                 Ok(Step::Branch(targets)) => {
@@ -200,7 +221,7 @@ impl Search<'_> {
                     // ones before it run and end here.
                     let go = targets
                         .iter()
-                        .position(|&pc| !is_dead(module, &mut config, pc))
+                        .position(|&pc| !is_dead(module, &mut self.config, pc))
                         .unwrap_or(0);
                     for _ in 0..go {
                         match self.run_dead() {
@@ -210,28 +231,25 @@ impl Search<'_> {
                     }
                     let rest = &targets[go + 1..];
                     self.pending.reserve(rest.len());
+                    let (trace_len, log_len) = (self.trace.len(), self.log.len());
                     for &alt in rest.iter().rev() {
-                        let alt_config = (!is_dead(module, &mut config, alt)).then(|| {
-                            let mut alt_config = config.clone();
-                            alt_config.stack.last_mut().expect("nonempty").pc = alt;
-                            alt_config
-                        });
-                        self.pending.push((alt_config, self.trace.len()));
+                        let live = !is_dead(module, &mut self.config, alt);
+                        self.pending.push((live.then_some(alt), trace_len, log_len));
                     }
                     self.frontier_peak = self.frontier_peak.max(self.pending.len() + 1);
-                    config.stack.last_mut().expect("nonempty").pc = targets[go];
+                    self.config.stack.last_mut().expect("nonempty").pc = targets[go];
                     continue;
                 }
                 // One stack has no second thread to start.
                 Ok(Step::Spawn(_)) => ExecError::AsyncInSequential.into(),
                 Err(fault) => fault,
             };
-            return PathEnd::Stop(Verdict::of_fault(fault, self.snapshot(&config)));
+            return PathEnd::Stop(Verdict::of_fault(fault, self.snapshot()));
         }
     }
 
-    fn snapshot(&self, config: &Config) -> ErrorTrace {
-        ErrorTrace { steps: self.trace.clone(), globals: config.mem.globals.to_vec() }
+    fn snapshot(&self) -> ErrorTrace {
+        ErrorTrace { steps: self.trace.clone(), globals: self.config.mem.globals().to_vec() }
     }
 }
 

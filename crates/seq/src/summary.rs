@@ -23,7 +23,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use kiss_exec::step::{bind_call, entry_locals};
 use kiss_exec::store::VisitedTable;
-use kiss_exec::{eval, Addr, Env, ExecError, Instr, Memory, Module, Value};
+use kiss_exec::{eval, Addr, Env, ExecError, Frame, Instr, Memory, Module, Value};
 use kiss_lang::hir::{FuncId, LocalId, VarRef};
 use kiss_obs::Obs;
 
@@ -57,8 +57,8 @@ impl Exit {
         let dying =
             |v: &Value| matches!(v, Value::Ptr(Addr::Local { frame, .. }) if *frame >= depth);
         dying(&self.ret)
-            || self.mem.globals.iter().any(dying)
-            || self.mem.heap.iter().any(|obj| obj.fields.iter().any(dying))
+            || self.mem.globals().iter().any(dying)
+            || self.mem.heap().iter().any(|obj| obj.fields.iter().any(dying))
     }
 }
 
@@ -188,12 +188,11 @@ struct Engine<'a> {
     store_bytes: usize,
 }
 
-/// Intra-function exploration state.
+/// Intra-function exploration state: memory and the body's one frame.
 #[derive(Debug, Clone)]
 struct State {
     mem: Memory,
-    locals: Vec<Value>,
-    pc: usize,
+    frame: Frame,
 }
 
 /// A body's view of memory. Its locals' addresses carry its call
@@ -208,23 +207,27 @@ struct LocalEnv<'a> {
 impl Env for LocalEnv<'_> {
     fn read_var(&self, v: VarRef) -> Value {
         match v {
-            VarRef::Global(g) => self.state.mem.globals[g.0 as usize],
-            VarRef::Local(LocalId(l)) => self.state.locals[l as usize],
+            VarRef::Global(g) => self.state.mem.globals()[g.0 as usize],
+            VarRef::Local(LocalId(l)) => self.state.frame.locals()[l as usize],
         }
     }
     fn write_var(&mut self, v: VarRef, val: Value) {
         match v {
-            VarRef::Global(g) => self.state.mem.globals[g.0 as usize] = val,
-            VarRef::Local(LocalId(l)) => self.state.locals[l as usize] = val,
+            VarRef::Global(g) => {
+                self.state.mem.set_global(g, val);
+            }
+            VarRef::Local(LocalId(l)) => {
+                self.state.frame.set_local(l, val).expect("a local of the body");
+            }
         }
     }
     fn read_addr(&self, a: Addr) -> Result<Value, ExecError> {
         match a {
-            Addr::Global(g) => Ok(self.state.mem.globals[g.0 as usize]),
+            Addr::Global(g) => Ok(self.state.mem.globals()[g.0 as usize]),
             Addr::Heap { obj, field } => self
                 .state
                 .mem
-                .heap
+                .heap()
                 .get(obj as usize)
                 .and_then(|o| o.fields.get(field as usize))
                 .copied()
@@ -232,7 +235,8 @@ impl Env for LocalEnv<'_> {
             // The summary engine cannot resolve pointers into other
             // frames: entry states abstract the caller's stack away.
             Addr::Local { frame, local, .. } if frame == self.depth => {
-                self.state.locals.get(local as usize).copied().ok_or(ExecError::DanglingLocal)
+                let locals = self.state.frame.locals();
+                locals.get(local as usize).copied().ok_or(ExecError::DanglingLocal)
             }
             Addr::Local { .. } => Err(ExecError::DanglingLocal),
         }
@@ -240,21 +244,15 @@ impl Env for LocalEnv<'_> {
     fn write_addr(&mut self, a: Addr, val: Value) -> Result<(), ExecError> {
         match a {
             Addr::Global(g) => {
-                self.state.mem.globals[g.0 as usize] = val;
+                self.state.mem.set_global(g, val);
                 Ok(())
             }
             Addr::Heap { obj, field } => {
-                *self
-                    .state
-                    .mem
-                    .heap
-                    .get_mut(obj as usize)
-                    .and_then(|o| o.fields.get_mut(field as usize))
-                    .ok_or(ExecError::BadField)? = val;
+                self.state.mem.set_field(obj, field, val).ok_or(ExecError::BadField)?;
                 Ok(())
             }
             Addr::Local { frame, local, .. } if frame == self.depth => {
-                *self.state.locals.get_mut(local as usize).ok_or(ExecError::DanglingLocal)? = val;
+                self.state.frame.set_local(local, val).ok_or(ExecError::DanglingLocal)?;
                 Ok(())
             }
             Addr::Local { .. } => Err(ExecError::DanglingLocal),
@@ -274,11 +272,6 @@ impl Env for LocalEnv<'_> {
 impl Engine<'_> {
     /// Computes (or reuses) the summary for a key, returning a snapshot
     /// of the exit set.
-    //
-    // `Key`/`Exit` reach `CowVec`'s chunk-digest atomics, but those are
-    // a content-derived cache that `Eq`/`Ord`/`Hash` never read, so the
-    // keys are stable despite the interior mutability.
-    #[allow(clippy::mutable_key_type)]
     fn analyze(&mut self, key: Key) -> Result<BTreeSet<Exit>, Interrupt> {
         if self.in_progress.contains(&key) {
             // Recursive cycle: use the current partial summary; the
@@ -301,10 +294,9 @@ impl Engine<'_> {
         Ok(entry.clone())
     }
 
-    // Digest-cache atomics again; see `analyze`.
-    #[allow(clippy::mutable_key_type)]
     fn explore_body(&mut self, key: &Key) -> Result<BTreeSet<Exit>, Interrupt> {
-        let initial = State { mem: key.mem.clone(), locals: key.locals.clone(), pc: 0 };
+        let frame = Frame::new(key.func, key.locals.clone(), None);
+        let initial = State { mem: key.mem.clone(), frame };
         // `analyze` pushed this body's key onto the call path.
         let depth = (self.in_progress.len() - 1) as u32;
 
@@ -323,23 +315,23 @@ impl Engine<'_> {
                 }
                 // Borrowed, not cloned: see explicit.rs — per-step
                 // clones of Call/NondetJump payloads are hot-loop cost.
-                match &body.instrs[state.pc] {
+                match &body.instrs[state.frame.pc] {
                     Instr::Assign(place, rv) => {
                         let mut env = LocalEnv { module: self.module, state: &mut state, depth };
                         eval::exec_assign(&mut env, place, rv)?;
-                        state.pc += 1;
+                        state.frame.pc += 1;
                     }
                     Instr::Assert(cond) => {
                         let env = LocalEnv { module: self.module, state: &mut state, depth };
                         match eval::eval_cond(&env, cond)? {
-                            true => state.pc += 1,
+                            true => state.frame.pc += 1,
                             false => return Err(Interrupt::Fail),
                         }
                     }
                     Instr::Assume(cond) => {
                         let env = LocalEnv { module: self.module, state: &mut state, depth };
                         match eval::eval_cond(&env, cond)? {
-                            true => state.pc += 1,
+                            true => state.frame.pc += 1,
                             false => break 'path,
                         }
                     }
@@ -356,7 +348,7 @@ impl Engine<'_> {
                             // resolved): path ends here this round.
                             break 'path;
                         }
-                        state.pc += 1;
+                        state.frame.pc += 1;
                         let mut it = call_exits.into_iter();
                         let first = it.next().expect("nonempty checked");
                         for exit in it {
@@ -383,7 +375,7 @@ impl Engine<'_> {
                     Instr::Jump(target) => {
                         // Cycles always pass through a NondetJump or
                         // Call, which record states; see explicit.rs.
-                        state.pc = *target;
+                        state.frame.pc = *target;
                     }
                     Instr::NondetJump(targets) => {
                         if !record(&mut visited, &state).map_err(Interrupt::Budget)? {
@@ -394,12 +386,12 @@ impl Engine<'_> {
                         }
                         for &alt in targets.iter().skip(1).rev() {
                             let mut alt_state = state.clone();
-                            alt_state.pc = alt;
+                            alt_state.frame.pc = alt;
                             pending.push(alt_state);
                         }
-                        state.pc = targets[0];
+                        state.frame.pc = targets[0];
                     }
-                    Instr::AtomicBegin | Instr::AtomicEnd => state.pc += 1,
+                    Instr::AtomicBegin | Instr::AtomicEnd => state.frame.pc += 1,
                 }
             }
         }
@@ -432,7 +424,9 @@ fn apply_exit(
 }
 
 fn record(visited: &mut VisitedTable, state: &State) -> Result<bool, BoundReason> {
-    match visited.insert(state_fingerprint(&state.mem, &state.locals, state.pc)) {
+    state.mem.debug_assert_digest();
+    state.frame.debug_assert_digest();
+    match visited.insert(state_fingerprint(&state.mem, &state.frame)) {
         Ok((_, new)) => Ok(new),
         Err(_) => Err(BoundReason::StateCap),
     }

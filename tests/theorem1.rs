@@ -10,11 +10,15 @@
 //! interleaving explorer of `kiss-conc` restricted to balanced
 //! (stack-disciplined) schedules.
 
+use std::collections::HashSet;
+
 use proptest::prelude::*;
 
 use kiss::conc::{Explorer, ScheduleMode};
-use kiss::exec::Module;
-use kiss::{Engine, Kiss, KissOutcome};
+use kiss::exec::step::{self, Step};
+use kiss::exec::{Instr, Module, UndoLog};
+use kiss::seq::config::Config;
+use kiss::{Engine, Kiss, KissOutcome, TransformConfig};
 
 /// A tiny statement language rendered to KISS-C text.
 #[derive(Debug, Clone)]
@@ -137,8 +141,91 @@ fn render_program(w1: &S, w2: &S, m1: &S, m2: &S) -> String {
     src
 }
 
+/// The KISS-transformed program the sequential engines check for
+/// `program`'s assertions.
+fn sequentialized(program: &kiss::Program) -> Module {
+    let cfg = TransformConfig { max_ts: 2, ..TransformConfig::default() };
+    Module::lower(kiss::transform(program, &cfg).expect("transforms").program)
+}
+
+/// Walks `module` the way the explicit engine does: one configuration
+/// changed in place through an [`UndoLog`], states recorded before calls
+/// and branches, and each pending alternative resumed by
+/// [`UndoLog::undo_to`] plus its pc. A clone taken at every branch point
+/// must equal the configuration after the undo back to it, digests and
+/// fingerprint included. Returns the number of undos checked; stops
+/// after `max_steps` steps.
+fn assert_undo_restores_branch_points(module: &Module, max_steps: usize) -> usize {
+    let mut config = Config::initial(module);
+    let mut log = UndoLog::new();
+    let mut visited = HashSet::new();
+    // Per alternative: the configuration it resumes from, and the log
+    // length at its branch.
+    let mut pending: Vec<(Config, usize)> = Vec::new();
+    let (mut steps, mut undos) = (0, 0);
+    loop {
+        while let Some((instr, _)) = step::current(module, &config.stack) {
+            steps += 1;
+            if steps > max_steps {
+                return undos;
+            }
+            if matches!(instr, Instr::Call { .. } | Instr::NondetJump(_))
+                && !visited.insert(config.fingerprint())
+            {
+                break;
+            }
+            match step::step(&mut config.thread(module).with_undo(&mut log), instr) {
+                Ok(Step::Continue) => {}
+                Ok(Step::Branch(targets)) if !targets.is_empty() => {
+                    for &alt in targets[1..].iter().rev() {
+                        let mut at_branch = config.clone();
+                        at_branch.stack.last_mut().expect("parked frame").pc = alt;
+                        pending.push((at_branch, log.len()));
+                    }
+                    config.stack.last_mut().expect("parked frame").pc = targets[0];
+                }
+                // The path ends: finished, pruned, a dead end or a fault
+                // (whose partial writes are logged too).
+                _ => break,
+            }
+        }
+        let Some((at_branch, len)) = pending.pop() else {
+            return undos;
+        };
+        config.undo_to(&mut log, len);
+        config.stack.last_mut().expect("parked frame").pc =
+            at_branch.stack.last().expect("parked frame").pc;
+        assert_eq!(config, at_branch);
+        assert_eq!(config.fingerprint(), at_branch.fingerprint());
+        config.debug_assert_digests();
+        undos += 1;
+    }
+}
+
+#[test]
+fn undo_restores_every_branch_point_of_the_samples() {
+    for sample in kiss::samples::all() {
+        let undos = assert_undo_restores_branch_points(&sequentialized(&sample.program()), 50_000);
+        assert!(undos > 10, "{}: only {undos} undos", sample.name);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, max_shrink_iters: 200, ..ProptestConfig::default() })]
+
+    /// The undo log restores every branch point of the sequentialized
+    /// random programs.
+    #[test]
+    fn undo_restores_every_branch_point_of_random_programs(
+        w1 in stmt_strategy(),
+        w2 in stmt_strategy(),
+        m1 in stmt_strategy(),
+        m2 in stmt_strategy(),
+    ) {
+        let src = render_program(&w1, &w2, &m1, &m2);
+        let program = kiss::parse(&src).expect("generated programs are well-formed");
+        assert_undo_restores_branch_points(&sequentialized(&program), 200_000);
+    }
 
     /// Both directions of Theorem 1 on random programs, for every
     /// engine; every explicit or bfs assertion violation must also
