@@ -14,18 +14,18 @@
 //! keep only their scheduling policy. So a statement means the same
 //! thing under sequential and interleaved execution, which is what
 //! makes the completeness theorem (paper Theorem 1) empirically
-//! testable. Only the summary engine, with its stackless frame model,
-//! interprets instructions on its own; it binds calls through
-//! [`step::bind_call`].
+//! testable. The summary engine keeps only calls and returns as its
+//! own: it binds a call through [`step::bind_call`] and continues with
+//! the callee's summarized exits.
 //!
 //! Every engine also records its states in the one [`store`], keyed on
 //! fingerprints from the one [`TwoLaneHasher`] (kiss-lang's). A
 //! fingerprint folds in the [`digest`]s that [`Memory`] and each
 //! [`Frame`] keep current on every write, so recording a state costs
-//! O(frames), not O(memory). The explicit engine explores one
-//! configuration in place: a [`ThreadEnv`] given an [`UndoLog`] records
-//! each write's old value, and the search takes writes back instead of
-//! copying states at branches.
+//! O(frames), not O(memory). The explicit and summary engines explore
+//! one configuration in place: a [`ThreadEnv`] given an [`UndoLog`]
+//! records each write's old value, and the search takes writes back
+//! instead of copying states at branches.
 
 pub mod cfg;
 pub mod cow;

@@ -1,13 +1,17 @@
 //! The instruction semantics, in one place.
 //!
-//! Every interpreter of whole programs executes instructions through
-//! [`step`]: the explicit DFS, the BFS over decision points, the
-//! kiss-ltl product, and kiss-conc's exhaustive explorer and random
-//! runner. So callee resolution, the arity check, argument binding and
-//! return-value delivery mean the same thing under sequential and
-//! interleaved execution. The callers keep only their policy: where to
-//! record states, what to do at a branch, how a failed `assert` or
-//! `assume` ends a path, whom to schedule, and what an `async` does.
+//! Every interpreter executes instructions through [`step`]: the
+//! explicit DFS, the BFS over decision points, the summary engine's
+//! exploration of one function body, the kiss-ltl product, and
+//! kiss-conc's exhaustive explorer and random runner. So callee
+//! resolution, the arity check, argument binding and return-value
+//! delivery mean the same thing under sequential and interleaved
+//! execution. The callers keep only their policy: where to record
+//! states, what to do at a branch, how a failed `assert` or `assume`
+//! ends a path, whom to schedule, and what an `async` does. The summary
+//! engine also keeps its own `Call` and `Return`: it binds a call
+//! through [`bind_call`] and continues with the callee's summarized
+//! exits, which [`ThreadEnv::replace_memory`] installs.
 //!
 //! A [`ThreadEnv`] is the one [`Env`]: shared memory plus every
 //! thread's stack of [`Frame`]s, acting as one thread. The sequential
@@ -187,6 +191,19 @@ impl<'a> ThreadEnv<'a> {
         self.log(Undo::Push(self.tid as u32));
     }
 
+    /// Replaces memory whole, as a callee's summarized exit state does
+    /// at its call site. With a log, the old memory waits on the log
+    /// until [`UndoLog::undo_to`] puts it back; `Memory` is
+    /// [`CowVec`](crate::CowVec)-backed, so neither move copies it.
+    #[inline]
+    pub fn replace_memory(&mut self, mem: Memory) {
+        let old = std::mem::replace(self.mem, mem);
+        if let Some(log) = self.undo.as_deref_mut() {
+            log.entries.push(Undo::Memory);
+            log.memories.push(old);
+        }
+    }
+
     /// Pops the acting thread's top frame, returning its destination.
     #[inline]
     fn pop_frame(&mut self) -> Option<Place> {
@@ -293,6 +310,9 @@ enum Undo {
     /// `popped` stack. The caller it returned to, if any, sat at
     /// `caller_pc` then.
     Pop { tid: u32, caller_pc: Option<usize> },
+    /// Memory was replaced whole; the old one waits on the log's
+    /// `memories` stack.
+    Memory,
 }
 
 /// The changes a [`ThreadEnv`] made, newest last, so that a depth-first
@@ -305,8 +325,9 @@ enum Undo {
 /// the pc it resumes at, and a frame that became the top since has its
 /// pc put back when the pop that exposed it is undone.
 ///
-/// The log holds one entry per changed cell, allocation, push and pop,
-/// plus the frames those pops removed. In a depth-first search that
+/// The log holds one entry per changed cell, allocation, push, pop and
+/// memory replacement, plus the frames those pops removed and the
+/// memories those replacements displaced. In a depth-first search that
 /// undoes to each branch point it backtracks to, these are the changes
 /// along the current path from the initial state: the log is bounded by
 /// the writes along that path and, as a step writes at most a few
@@ -315,6 +336,7 @@ enum Undo {
 pub struct UndoLog {
     entries: Vec<Undo>,
     popped: Vec<Frame>,
+    memories: Vec<Memory>,
 }
 
 impl UndoLog {
@@ -363,6 +385,7 @@ impl UndoLog {
                     }
                     stack.push(self.popped.pop().expect("a popped frame"));
                 }
+                Undo::Memory => *mem = self.memories.pop().expect("a replaced memory"),
             }
         }
     }
@@ -612,6 +635,34 @@ mod tests {
         // Address-of local points at the top frame.
         let a = env.addr_of_var(VarRef::Local(LocalId(0)));
         assert_eq!(env.read_addr(a), Ok(Value::Int(6)));
+    }
+
+    #[test]
+    fn a_replaced_memory_comes_back_on_undo() {
+        let m = module("struct D { int x; } int g; int h; void main() { skip; }");
+        let (g, h) = (kiss_lang::GlobalId(0), kiss_lang::GlobalId(1));
+        let (mut mem, mut stacks) = initial(&m);
+        let mut log = UndoLog::new();
+        let mut env = ThreadEnv::new(&m, &mut mem, &mut stacks, 0).with_undo(&mut log);
+        env.write_var(VarRef::Global(g), Value::Int(3));
+        let saved = (mem.globals().to_vec(), mem.heap().len(), mem.digest());
+        // A callee's exit: other globals and a grown heap.
+        let mut exit = mem.clone();
+        exit.set_global(h, Value::Int(9));
+        exit.malloc(&m.program, StructId(0));
+        let at_branch = log.len();
+        let mut env = ThreadEnv::new(&m, &mut mem, &mut stacks, 0).with_undo(&mut log);
+        env.replace_memory(exit);
+        env.write_var(VarRef::Global(h), Value::Int(5));
+        assert_eq!(mem.globals()[1], Value::Int(5));
+        assert_eq!(mem.heap().len(), 1);
+        log.undo_to(at_branch, &mut mem, &mut stacks);
+        assert_eq!((mem.globals().to_vec(), mem.heap().len(), mem.digest()), saved);
+        assert_eq!(mem.digest(), mem.digest_from_scratch());
+        // Undone to the start, the write before the replacement goes too.
+        log.undo_to(0, &mut mem, &mut stacks);
+        assert_eq!(mem, Memory::initial(&m.program));
+        assert!(log.is_empty());
     }
 
     #[test]

@@ -116,19 +116,6 @@ impl FpBase {
     }
 }
 
-/// The fingerprint of the summary engine's intra-function state, one
-/// frame over `mem`: the memory digest, then the frame's function, pc,
-/// destination and digest, as in [`Config::fingerprint_base`].
-pub(crate) fn state_fingerprint(mem: &Memory, frame: &Frame) -> (u64, u64) {
-    let mut h = TwoLaneHasher::new();
-    mem.digest().hash(&mut h);
-    frame.func.hash(&mut h);
-    h.write_usize(frame.pc);
-    frame.dest.hash(&mut h);
-    frame.digest().hash(&mut h);
-    h.finish_pair()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,25 +294,5 @@ mod tests {
         assert_eq!(c.fingerprint(), before);
         assert_eq!(c.fingerprint(), build().fingerprint());
         assert_eq!(c.fingerprint(), c.clone().fingerprint());
-    }
-
-    #[test]
-    fn state_fingerprints_separate_locals_pc_and_heap_fields() {
-        let m = module("struct D { int x; int y; } int g; void main() { D *p; p = malloc(D); }");
-        let mut mem = Memory::initial(&m.program);
-        mem.malloc(&m.program, kiss_lang::hir::StructId(0));
-        let at = |locals: &[Value], pc: usize| {
-            let mut frame = Frame::new(m.program.main, locals.to_vec(), None);
-            frame.pc = pc;
-            frame
-        };
-        let locals = vec![Value::Int(1), Value::Null];
-        let base = state_fingerprint(&mem, &at(&locals, 3));
-        assert_eq!(base, state_fingerprint(&mem.clone(), &at(&locals.clone(), 3)));
-        assert_ne!(base, state_fingerprint(&mem, &at(&[Value::Int(2), Value::Null], 3)));
-        assert_ne!(base, state_fingerprint(&mem, &at(&locals, 4)));
-        let mut other = mem.clone();
-        other.set_field(0, 1, Value::Int(1));
-        assert_ne!(base, state_fingerprint(&other, &at(&locals, 3)));
     }
 }

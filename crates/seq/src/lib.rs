@@ -18,11 +18,12 @@
 //!   human debugging the concurrent program wants to read).
 //!
 //! All three agree on verdicts; an integration test checks this on a
-//! program corpus. The explicit and BFS engines (and kiss-ltl's product
-//! engine) execute instructions through kiss-exec's one shared
-//! [`kiss_exec::step::step`], on a [`config::Config`]'s single stack; the
-//! summary engine keeps its own stackless interpreter and binds calls
-//! through [`kiss_exec::step::bind_call`]. All three record their states
+//! program corpus. All three (and kiss-ltl's product engine) execute
+//! instructions through kiss-exec's one shared
+//! [`kiss_exec::step::step`], on a [`config::Config`]'s single stack;
+//! the summary engine runs one function body at a time and keeps only
+//! calls and returns as its own, binding calls through
+//! [`kiss_exec::step::bind_call`]. All three record their states
 //! in kiss-exec's one state store ([`kiss_exec::store`]), the one the
 //! concurrent explorer uses too.
 

@@ -11,25 +11,36 @@
 //! fixpoint: summaries only ever grow, and the domain is finite for
 //! finite-state programs, so iteration terminates.
 //!
+//! Each body is explored the way [`crate::explicit`] explores a whole
+//! program: one [`Config`] changed in place through
+//! [`kiss_exec::step::step`], with every write recorded in an
+//! [`UndoLog`], so a pending alternative is only the pc it resumes at
+//! and the log length at its branch. Only `Call` and `Return` are this
+//! engine's own: a call binds through [`bind_call`], looks up or
+//! computes the callee's summary and continues with each of its exits;
+//! a return adds an exit to the body's summary.
+//!
 //! Compared to [`crate::explicit`], this engine reports verdicts but
 //! not full traces, and it does not support pointers into another
-//! function's stack frame (the explicit engine does). A body's locals
-//! are addressed at its call depth, so a dereference of a caller's
-//! local, or a local address that outlives its body through the exit
-//! state, ends the check inconclusive with
-//! [`BoundReason::Unsupported`] instead of touching the wrong cell.
+//! function's stack frame (the explicit engine does). Below the body's
+//! frame the configuration holds one frame per caller on the call path,
+//! each with no locals, so the body's locals are addressed at its call
+//! depth, and a dereference of a caller's local dangles. That, or a
+//! local address that outlives its body through the exit state, ends
+//! the check inconclusive with [`BoundReason::Unsupported`] instead of
+//! touching the wrong cell.
 
 use std::collections::{BTreeSet, HashMap};
 
-use kiss_exec::step::{bind_call, entry_locals};
+use kiss_exec::step::{self, bind_call, entry_locals, Fault, Step};
 use kiss_exec::store::VisitedTable;
-use kiss_exec::{eval, Addr, Env, ExecError, Frame, Instr, Memory, Module, Value};
-use kiss_lang::hir::{FuncId, LocalId, VarRef};
+use kiss_exec::{eval, Addr, Env, ExecError, Frame, Instr, Memory, Module, UndoLog, Value};
+use kiss_lang::hir::FuncId;
 use kiss_obs::Obs;
 
 use crate::budget::{BoundReason, Budget, Meter};
 use crate::cancel::CancelToken;
-use crate::config::state_fingerprint;
+use crate::config::Config;
 use crate::stats::EngineStats;
 use crate::verdict::{ErrorTrace, Verdict};
 
@@ -79,8 +90,8 @@ enum Interrupt {
 
 impl From<ExecError> for Interrupt {
     /// A dangling local here is a pointer into another function's frame
-    /// — [`LocalEnv`] resolves only the body's own — which the entry
-    /// states abstract away: unsupported, not an error of the program.
+    /// — the callers' frames hold no locals — which the entry states
+    /// abstract away: unsupported, not an error of the program.
     fn from(e: ExecError) -> Self {
         match e {
             ExecError::DanglingLocal => Interrupt::Budget(BoundReason::Unsupported),
@@ -88,6 +99,20 @@ impl From<ExecError> for Interrupt {
         }
     }
 }
+
+impl From<Fault> for Interrupt {
+    fn from(fault: Fault) -> Self {
+        match fault {
+            Fault::Assert => Interrupt::Fail,
+            Fault::Exec(e) => e.into(),
+        }
+    }
+}
+
+/// An alternative left to run in a body: the pc it resumes at, the
+/// undo-log length at its branch, and, past a call, the callee exit it
+/// continues with.
+type Alternative = (usize, usize, Option<Exit>);
 
 impl<'a> SummaryChecker<'a> {
     /// Creates a checker over a lowered module.
@@ -188,87 +213,6 @@ struct Engine<'a> {
     store_bytes: usize,
 }
 
-/// Intra-function exploration state: memory and the body's one frame.
-#[derive(Debug, Clone)]
-struct State {
-    mem: Memory,
-    frame: Frame,
-}
-
-/// A body's view of memory. Its locals' addresses carry its call
-/// depth as their frame, so a pointer into any other frame is told
-/// apart from them.
-struct LocalEnv<'a> {
-    module: &'a Module,
-    state: &'a mut State,
-    depth: u32,
-}
-
-impl Env for LocalEnv<'_> {
-    fn read_var(&self, v: VarRef) -> Value {
-        match v {
-            VarRef::Global(g) => self.state.mem.globals()[g.0 as usize],
-            VarRef::Local(LocalId(l)) => self.state.frame.locals()[l as usize],
-        }
-    }
-    fn write_var(&mut self, v: VarRef, val: Value) {
-        match v {
-            VarRef::Global(g) => {
-                self.state.mem.set_global(g, val);
-            }
-            VarRef::Local(LocalId(l)) => {
-                self.state.frame.set_local(l, val).expect("a local of the body");
-            }
-        }
-    }
-    fn read_addr(&self, a: Addr) -> Result<Value, ExecError> {
-        match a {
-            Addr::Global(g) => Ok(self.state.mem.globals()[g.0 as usize]),
-            Addr::Heap { obj, field } => self
-                .state
-                .mem
-                .heap()
-                .get(obj as usize)
-                .and_then(|o| o.fields.get(field as usize))
-                .copied()
-                .ok_or(ExecError::BadField),
-            // The summary engine cannot resolve pointers into other
-            // frames: entry states abstract the caller's stack away.
-            Addr::Local { frame, local, .. } if frame == self.depth => {
-                let locals = self.state.frame.locals();
-                locals.get(local as usize).copied().ok_or(ExecError::DanglingLocal)
-            }
-            Addr::Local { .. } => Err(ExecError::DanglingLocal),
-        }
-    }
-    fn write_addr(&mut self, a: Addr, val: Value) -> Result<(), ExecError> {
-        match a {
-            Addr::Global(g) => {
-                self.state.mem.set_global(g, val);
-                Ok(())
-            }
-            Addr::Heap { obj, field } => {
-                self.state.mem.set_field(obj, field, val).ok_or(ExecError::BadField)?;
-                Ok(())
-            }
-            Addr::Local { frame, local, .. } if frame == self.depth => {
-                self.state.frame.set_local(local, val).ok_or(ExecError::DanglingLocal)?;
-                Ok(())
-            }
-            Addr::Local { .. } => Err(ExecError::DanglingLocal),
-        }
-    }
-    fn addr_of_var(&self, v: VarRef) -> Addr {
-        match v {
-            VarRef::Global(g) => Addr::Global(g),
-            VarRef::Local(LocalId(l)) => Addr::Local { tid: 0, frame: self.depth, local: l },
-        }
-    }
-    fn malloc(&mut self, sid: kiss_lang::hir::StructId) -> u32 {
-        self.state.mem.malloc(&self.module.program, sid)
-    }
-}
-
 impl Engine<'_> {
     /// Computes (or reuses) the summary for a key, returning a snapshot
     /// of the exit set.
@@ -295,17 +239,29 @@ impl Engine<'_> {
     }
 
     fn explore_body(&mut self, key: &Key) -> Result<BTreeSet<Exit>, Interrupt> {
-        let frame = Frame::new(key.func, key.locals.clone(), None);
-        let initial = State { mem: key.mem.clone(), frame };
-        // `analyze` pushed this body's key onto the call path.
-        let depth = (self.in_progress.len() - 1) as u32;
+        let module = self.module;
+        // `analyze` pushed this body's key onto the call path; each
+        // caller below it gets an empty frame.
+        let depth = self.in_progress.len() - 1;
+        let mut stack: Vec<Frame> = self.in_progress[..depth]
+            .iter()
+            .map(|k| Frame::new(k.func, Vec::new(), None))
+            .collect();
+        stack.push(Frame::new(key.func, key.locals.clone(), None));
+        let mut config = Config { mem: key.mem.clone(), stack };
+        let mut log = UndoLog::new();
 
         let mut exits = BTreeSet::new();
         let mut visited = VisitedTable::new();
-        let mut pending: Vec<State> = vec![initial];
-        let body = self.module.body(key.func);
+        let mut pending: Vec<Alternative> = vec![(0, 0, None)];
+        let body = module.body(key.func);
 
-        while let Some(mut state) = pending.pop() {
+        while let Some((pc, log_len, exit)) = pending.pop() {
+            config.undo_to(&mut log, log_len);
+            config.stack.last_mut().expect("the body's frame").pc = pc;
+            if let Some(exit) = exit {
+                take_exit(module, &mut config, &mut log, exit)?;
+            }
             'path: loop {
                 self.meter.tick().map_err(Interrupt::Budget)?;
                 if visited.len() > self.meter.budget().max_states {
@@ -313,85 +269,59 @@ impl Engine<'_> {
                     self.note_store(&visited);
                     return Err(Interrupt::Budget(BoundReason::States));
                 }
-                // Borrowed, not cloned: see explicit.rs — per-step
-                // clones of Call/NondetJump payloads are hot-loop cost.
-                match &body.instrs[state.frame.pc] {
-                    Instr::Assign(place, rv) => {
-                        let mut env = LocalEnv { module: self.module, state: &mut state, depth };
-                        eval::exec_assign(&mut env, place, rv)?;
-                        state.frame.pc += 1;
-                    }
-                    Instr::Assert(cond) => {
-                        let env = LocalEnv { module: self.module, state: &mut state, depth };
-                        match eval::eval_cond(&env, cond)? {
-                            true => state.frame.pc += 1,
-                            false => return Err(Interrupt::Fail),
-                        }
-                    }
-                    Instr::Assume(cond) => {
-                        let env = LocalEnv { module: self.module, state: &mut state, depth };
-                        match eval::eval_cond(&env, cond)? {
-                            true => state.frame.pc += 1,
-                            false => break 'path,
-                        }
-                    }
-                    Instr::Call { dest, target, args } => {
-                        if !record(&mut visited, &state).map_err(Interrupt::Budget)? {
+                let pc = config.stack.last().expect("the body's frame").pc;
+                let instr = &body.instrs[pc];
+                match instr {
+                    Instr::Call { target, args, .. } => {
+                        if !record(&mut visited, &config)? {
                             break 'path;
                         }
-                        let env = LocalEnv { module: self.module, state: &mut state, depth };
-                        let (callee, locals) = bind_call(self.module, &env, *target, args)?;
-                        let call_key = Key { func: callee, mem: state.mem.clone(), locals };
-                        let call_exits = self.analyze(call_key)?;
-                        if call_exits.is_empty() {
+                        let (callee, locals) =
+                            bind_call(module, &config.thread(module), *target, args)?;
+                        let call_key = Key { func: callee, mem: config.mem.clone(), locals };
+                        let mut call_exits = self.analyze(call_key)?.into_iter();
+                        let Some(first) = call_exits.next() else {
                             // Callee never returns (or cycle not yet
                             // resolved): path ends here this round.
                             break 'path;
-                        }
-                        state.frame.pc += 1;
-                        let mut it = call_exits.into_iter();
-                        let first = it.next().expect("nonempty checked");
-                        for exit in it {
-                            let mut alt = state.clone();
-                            apply_exit(self.module, &mut alt, depth, dest, exit)?;
-                            pending.push(alt);
-                        }
-                        apply_exit(self.module, &mut state, depth, dest, first)?;
-                    }
-                    Instr::Async { .. } => {
-                        return Err(Interrupt::Runtime(ExecError::AsyncInSequential));
+                        };
+                        let log_len = log.len();
+                        pending.extend(call_exits.map(|exit| (pc + 1, log_len, Some(exit))));
+                        config.stack.last_mut().expect("the body's frame").pc = pc + 1;
+                        take_exit(module, &mut config, &mut log, first)?;
+                        continue;
                     }
                     Instr::Return(op) => {
-                        let env = LocalEnv { module: self.module, state: &mut state, depth };
-                        let ret = op.map(|o| eval::eval_operand(&env, &o)).unwrap_or(Value::Null);
-                        let exit = Exit { mem: state.mem.clone(), ret };
+                        let env = config.thread(module);
+                        let ret = op.map_or(Value::Null, |o| eval::eval_operand(&env, &o));
+                        let exit = Exit { mem: config.mem.clone(), ret };
                         // `main`'s exit has no caller to read it.
-                        if depth > 0 && exit.holds_local_of(depth) {
+                        if depth > 0 && exit.holds_local_of(depth as u32) {
                             return Err(Interrupt::Budget(BoundReason::Unsupported));
                         }
                         exits.insert(exit);
                         break 'path;
                     }
-                    Instr::Jump(target) => {
+                    _ => {}
+                }
+                match step::step(&mut config.thread(module).with_undo(&mut log), instr)? {
+                    Step::Continue => {}
+                    Step::Pruned => break 'path,
+                    Step::Branch(targets) => {
                         // Cycles always pass through a NondetJump or
                         // Call, which record states; see explicit.rs.
-                        state.frame.pc = *target;
-                    }
-                    Instr::NondetJump(targets) => {
-                        if !record(&mut visited, &state).map_err(Interrupt::Budget)? {
+                        if !record(&mut visited, &config)? {
                             break 'path;
                         }
-                        if targets.is_empty() {
+                        let Some((&first, rest)) = targets.split_first() else {
                             break 'path;
-                        }
-                        for &alt in targets.iter().skip(1).rev() {
-                            let mut alt_state = state.clone();
-                            alt_state.frame.pc = alt;
-                            pending.push(alt_state);
-                        }
-                        state.frame.pc = targets[0];
+                        };
+                        let log_len = log.len();
+                        pending.extend(rest.iter().rev().map(|&alt| (alt, log_len, None)));
+                        config.stack.last_mut().expect("the body's frame").pc = first;
                     }
-                    Instr::AtomicBegin | Instr::AtomicEnd => state.frame.pc += 1,
+                    Step::Spawn(_) => return Err(ExecError::AsyncInSequential.into()),
+                    Step::Finished => unreachable!("the body's returns end its paths above"),
                 }
             }
         }
@@ -407,28 +337,33 @@ impl Engine<'_> {
     }
 }
 
-fn apply_exit(
+/// Continues past a call with one of the callee's exits: the exit's
+/// memory replaces the caller's, and its return value goes to the
+/// call's destination. The top frame already sits past the call.
+fn take_exit(
     module: &Module,
-    state: &mut State,
-    depth: u32,
-    dest: &Option<kiss_lang::hir::Place>,
+    config: &mut Config,
+    log: &mut UndoLog,
     exit: Exit,
 ) -> Result<(), ExecError> {
-    state.mem = exit.mem;
+    let top = config.stack.last().expect("the body's frame");
+    let Instr::Call { dest, .. } = &module.body(top.func).instrs[top.pc - 1] else {
+        unreachable!("an exit resumes past its call")
+    };
+    let mut env = config.thread(module).with_undo(log);
+    env.replace_memory(exit.mem);
     if let Some(dest) = dest {
-        let mut env = LocalEnv { module, state, depth };
         let addr = eval::place_addr(&env, dest)?;
         env.write_addr(addr, exit.ret)?;
     }
     Ok(())
 }
 
-fn record(visited: &mut VisitedTable, state: &State) -> Result<bool, BoundReason> {
-    state.mem.debug_assert_digest();
-    state.frame.debug_assert_digest();
-    match visited.insert(state_fingerprint(&state.mem, &state.frame)) {
+fn record(visited: &mut VisitedTable, config: &Config) -> Result<bool, Interrupt> {
+    config.debug_assert_digests();
+    match visited.insert(config.fingerprint()) {
         Ok((_, new)) => Ok(new),
-        Err(_) => Err(BoundReason::StateCap),
+        Err(_) => Err(Interrupt::Budget(BoundReason::StateCap)),
     }
 }
 
@@ -497,14 +432,27 @@ mod tests {
             "int g; void main() { iter { g = g + 1; assume g <= 2; } assert g < 2; }",
             "bool b; void flip() { b = !b; } void main() { flip(); flip(); assert !b; }",
             "struct D { int x; } void main() { D *p; p = malloc(D); p->x = 4; assert p->x == 4; }",
+            // Runtime errors raised inside a callee.
+            "int m(int a, int b) { int r; r = a % b; return r; } void main() { int x; x = m(5, 0); }",
+            "struct D { int x; } int rd(D *p) { int r; r = p->x; return r; }
+             void main() { D *p; int x; x = rd(p); }",
+            "int sq(int a) { int r; r = a * a; return r; } void main() { int x; x = sq(3037000500); }",
+            "int g; void w(int a) { g = a; } void run() { fn f; f = w; f(); } void main() { run(); }",
         ];
+        // The verdict's kind, and the runtime error if it is one.
+        let kind = |v: &Verdict| match v {
+            Verdict::Pass => ("pass", None),
+            Verdict::Fail(_) => ("fail", None),
+            Verdict::RuntimeError(e, _) => ("runtime error", Some(e.clone())),
+            Verdict::ResourceBound { .. } => ("inconclusive", None),
+        };
         for src in corpus {
             let module = Module::lower(parse_and_lower(src).unwrap());
             let explicit = ExplicitChecker::new(&module).check();
             let summary = SummaryChecker::new(&module).check();
             assert_eq!(
-                explicit.is_fail(),
-                summary.is_fail(),
+                kind(&explicit),
+                kind(&summary),
                 "engines disagree on: {src}\nexplicit={explicit:?} summary={summary:?}"
             );
         }
@@ -554,7 +502,12 @@ mod tests {
         let read = "int g;
              void get(int *p) { int y; y = 7; g = *p; }
              void main() { int x; x = 3; get(&x); assert g == 3; }";
-        for src in [write, read] {
+        // Handed on one call deeper: two callers' frames lie below the
+        // dereference.
+        let relayed = "int g(int *q) { int w; w = *q; return w; }
+             int f(int *p) { int y; int r; y = 1; r = g(p); return r; }
+             void main() { int x; int s; x = 3; s = f(&x); assert s == 3; }";
+        for src in [write, read, relayed] {
             let module = Module::lower(parse_and_lower(src).unwrap());
             assert!(ExplicitChecker::new(&module).check().is_pass(), "{src}");
             assert!(crate::bfs::BfsChecker::new(&module).check().is_pass(), "{src}");

@@ -25,9 +25,7 @@
 //! v2<TAB>0123...cdef<TAB>verdict<TAB>steps<TAB>states<TAB>detail<TAB>checksum
 //! ```
 //!
-//! Legacy `v1` records (no checksum) from journals written before the
-//! format change still replay. Control characters in the detail are
-//! sanitized to spaces on write. Loading tolerates torn or garbage
+//! Control characters in the detail are sanitized to spaces on write. Loading tolerates torn or garbage
 //! lines (a crash mid-append loses at most the final record), and a
 //! later record for the same key overrides an earlier one.
 //!
@@ -514,19 +512,11 @@ fn encode_record(key: u128, v: &CachedVerdict) -> String {
 }
 
 fn parse_line(line: &str) -> Option<(u128, CachedVerdict)> {
-    if let Some(rest) = line.strip_prefix("v1\t") {
-        // Legacy record: no checksum, five fields after the tag.
-        return parse_fields(rest);
-    }
     let (body, sum) = line.rsplit_once('\t')?;
     let rest = body.strip_prefix("v2\t")?;
     if u64::from_str_radix(sum, 16).ok()? != fnv1a64(body.as_bytes()) {
         return None;
     }
-    parse_fields(rest)
-}
-
-fn parse_fields(rest: &str) -> Option<(u128, CachedVerdict)> {
     let mut parts = rest.splitn(5, '\t');
     let key = u128::from_str_radix(parts.next()?, 16).ok()?;
     let verdict = parts.next()?.to_string();
@@ -651,6 +641,8 @@ mod tests {
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str("complete garbage\n");
         text.push_str("v9\t0\tpass\t0\t0\tfuture version\n");
+        // A record of the retired unchecksummed `v1` format.
+        text.push_str("v1\t00000000000000000000000000000009\tpass\t9\t4\tno error found #9\n");
         // A good record, then the same record torn mid-write: the torn
         // copy fails its checksum and must not shadow anything.
         text.push_str(&encode_record(2, &verdict(2)));
@@ -663,7 +655,8 @@ mod tests {
         assert_eq!(cache.lookup(1), Some(verdict(1)));
         assert_eq!(cache.lookup(2), Some(verdict(2)));
         assert_eq!(cache.lookup(3), None);
-        assert_eq!(cache.replay_stats(), ReplayStats { replayed: 2, skipped: 3 });
+        assert_eq!(cache.lookup(9), None);
+        assert_eq!(cache.replay_stats(), ReplayStats { replayed: 2, skipped: 4 });
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -703,21 +696,6 @@ mod tests {
         let cache = ResultCache::open(&dir).unwrap();
         assert_eq!(cache.len(), 0, "a corrupt verdict must not replay");
         assert_eq!(cache.replay_stats(), ReplayStats { replayed: 0, skipped: 1 });
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn legacy_v1_records_still_replay() {
-        let dir = temp_dir("legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join(JOURNAL_FILE),
-            "v1\t00000000000000000000000000000009\tpass\t9\t4\tno error found #9\n",
-        )
-        .unwrap();
-        let cache = ResultCache::open(&dir).unwrap();
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.lookup(9), Some(verdict(9)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

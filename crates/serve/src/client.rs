@@ -9,10 +9,7 @@
 //! Unique entries travel as pipelined `batch` frames by default — one
 //! frame per batch (chunked under a soft byte budget) instead of one
 //! line per request, which collapses the per-request write/syscall
-//! round-trips against a warm server. Against a server that predates
-//! batching, the typed `unknown op `batch`` rejection is detected and
-//! the submission transparently falls back to single frames without
-//! consuming a retry, so new clients interoperate with old servers.
+//! round-trips against a warm server.
 //!
 //! Submission is resilient by opt-in ([`SubmitOptions`]): a lost
 //! connection, a silent server (per-request timeout), or a typed
@@ -108,9 +105,8 @@ pub struct SubmitOptions {
     /// Give up on an attempt when no response arrives for this long
     /// (`None` = wait forever, as a plain read would).
     pub request_timeout: Option<Duration>,
-    /// Send pipelined `batch` frames (the default). A server that
-    /// rejects them triggers a transparent single-frame fallback; set
-    /// `false` to force single frames from the start.
+    /// Send pipelined `batch` frames (the default); `false` sends one
+    /// line per request.
     pub batch: bool,
     /// Observer receiving `client_retry` events.
     pub obs: Obs,
@@ -215,10 +211,6 @@ enum AttemptFailure {
     /// The connection died (or went silent past the request timeout)
     /// after the frames were sent.
     Lost(io::Error),
-    /// The server rejected a `batch` frame as an unknown op — it
-    /// predates batching. Nothing was executed; the caller retries the
-    /// whole attempt with single frames, free of charge.
-    BatchUnsupported,
 }
 
 /// Opens one connection, sends the given frames (pipelined as `batch`
@@ -355,18 +347,9 @@ fn run_attempt(
             .and_then(|n| n.parse::<usize>().ok())
             .filter(|slot| wanted.contains_key(slot));
         let Some(slot) = slot else {
-            // A response that names no slot of ours. An old server
-            // rejects a whole batch frame with one typed error (empty
-            // or batch-frame id, `unknown op `batch`` in the detail):
-            // nothing was executed, so the caller can re-run the whole
-            // attempt with single frames.
-            if batch && response.verdict == "error" && response.detail.contains("unknown op `batch`")
-            {
-                return Attempt { answered, failure: Some(AttemptFailure::BatchUnsupported) };
-            }
-            // Otherwise: a late answer from a previous connection's
-            // server-side work leaking through a proxy, or a server
-            // bug. Ignore it.
+            // A response that names no slot of ours: a late answer from
+            // a previous connection's server-side work leaking through a
+            // proxy, or a server bug. Ignore it.
             continue;
         };
         last_progress = Instant::now();
@@ -434,7 +417,6 @@ pub fn submit_batch_with(
     let mut retries_used = 0u64;
     let mut attempt_no = 0u32;
     let mut last_error: Option<io::Error> = None;
-    let mut use_batches = opts.batch;
 
     while !pending.is_empty() {
         if attempt_no > 0 {
@@ -460,15 +442,7 @@ pub fn submit_batch_with(
 
         let frames: Vec<(usize, Request)> =
             pending.iter().map(|&slot| (slot, wire[slot].clone())).collect();
-        let attempt = run_attempt(endpoint, &frames, opts.request_timeout, use_batches);
-        if matches!(attempt.failure, Some(AttemptFailure::BatchUnsupported)) {
-            // The server predates batch frames and executed nothing.
-            // Fall back to single frames and redo this attempt; the
-            // downgrade is free — it consumes no retry and no backoff.
-            use_batches = false;
-            attempt_no -= 1;
-            continue;
-        }
+        let attempt = run_attempt(endpoint, &frames, opts.request_timeout, opts.batch);
         let mut next_pending: Vec<usize> = Vec::new();
         let mut shed_this_attempt = false;
         for (slot, response) in attempt.answered {
@@ -485,8 +459,6 @@ pub fn submit_batch_with(
         let mut lost_after_send = false;
         match attempt.failure {
             None => last_error = None,
-            // Handled above: the attempt restarts with single frames.
-            Some(AttemptFailure::BatchUnsupported) => unreachable!(),
             Some(AttemptFailure::Connect(e)) => {
                 // Nothing reached the server; every pending slot may be
                 // re-sent, idempotent or not.
@@ -922,39 +894,6 @@ mod tests {
             outcome.responses[1].detail
         );
         assert_eq!(outcome.retries, 0, "nothing retryable was left pending");
-    }
-
-    #[test]
-    fn batch_frames_fall_back_to_single_frames_against_an_old_server() {
-        // Connection 1 plays an old server: it rejects the batch frame
-        // with the typed unknown-op error. Connection 2 then receives
-        // single frames and answers. The downgrade costs no retry, so
-        // even a zero-retry policy completes.
-        let old_server_rejection = Response {
-            id: String::new(),
-            verdict: "error".to_string(),
-            detail: "malformed frame: unknown op `batch`".to_string(),
-            steps: 0,
-            states: 0,
-            cache: CacheStatus::None,
-        };
-        let (endpoint, server) = scripted_server(vec![
-            vec![Some(old_server_rejection)],
-            vec![Some(pass("single-framed"))],
-        ]);
-        let (tx, rx) = std::sync::mpsc::channel::<Event>();
-        let opts = SubmitOptions {
-            retries: 0,
-            obs: Obs::new(ChannelSink(tx)),
-            ..SubmitOptions::default()
-        };
-        let batch = [Request::check("job", "void main() { skip; }")];
-        let outcome = submit_batch_with(&endpoint, &batch, &opts).unwrap();
-        server.join().unwrap();
-        assert_eq!(outcome.responses[0].verdict, "pass");
-        assert_eq!(outcome.responses[0].detail, "single-framed");
-        assert_eq!(outcome.retries, 0, "the fallback must not consume a retry");
-        assert!(rx.try_iter().next().is_none(), "the fallback must not emit client_retry");
     }
 
     #[test]

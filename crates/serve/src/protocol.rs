@@ -45,8 +45,7 @@
 //! wire only when the batch frame itself is rejected. Entries are
 //! restricted to the checking ops (`check`, `race`, `ltl`);
 //! control-plane ops stay single frames. An old server that predates batching
-//! answers the frame with a single `unknown op `batch`` error, which
-//! updated clients detect and fall back to single frames.
+//! answers the frame with a single `unknown op `batch`` error.
 
 use kiss_core::checker::Engine;
 use kiss_obs::json::{quoted, Json};
@@ -464,8 +463,7 @@ pub fn decode_frame(line: &str) -> Result<Frame, FrameError> {
 }
 
 /// Decodes one request line. Batch frames are rejected here with
-/// `unknown op `batch`` — the exact answer a pre-batch server gives,
-/// which updated clients key their single-frame fallback on.
+/// `unknown op `batch``, the exact answer a pre-batch server gives.
 pub fn decode_request(line: &str) -> Result<Request, FrameError> {
     if line.len() > MAX_FRAME_BYTES {
         return Err(FrameError::Oversized { bytes: line.len() });
@@ -1093,7 +1091,7 @@ mod tests {
     #[test]
     fn old_request_decoder_rejects_batches_with_the_fallback_marker() {
         // The single-frame decoder must answer a batch exactly like a
-        // pre-batch server would: clients key their fallback on this.
+        // pre-batch server would.
         let batch = Batch {
             id: "b0".to_string(),
             entries: vec![Request::check("q0", "void main() { skip; }")],
