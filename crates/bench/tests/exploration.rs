@@ -330,13 +330,12 @@ fn every_engine_matches_the_golden_exploration_table() {
     }
 }
 
-/// One pass of `engine` over the sample suite's assertion checks:
-/// summed steps, states stored and store bytes, and the largest
-/// frontier any sample reached.
-fn store_totals(engine: Engine) -> (u64, usize, usize, usize) {
+/// Summed steps, states stored and store bytes over `outcomes`, and
+/// the largest frontier any of them reached.
+fn store_totals(outcomes: impl IntoIterator<Item = KissOutcome>) -> (u64, usize, usize, usize) {
     let mut totals = (0, 0, 0, 0);
-    for sample in kiss_samples::all() {
-        if let Some(stats) = outcome(&sample, engine).stats() {
+    for outcome in outcomes {
+        if let Some(stats) = outcome.stats() {
             totals.0 += stats.steps();
             totals.1 += stats.seq.states_stored;
             totals.2 += stats.seq.store_bytes;
@@ -346,14 +345,40 @@ fn store_totals(engine: Engine) -> (u64, usize, usize, usize) {
     totals
 }
 
+/// `engine`'s assertion check of every sample.
+fn assertion_outcomes(engine: Engine) -> Vec<KissOutcome> {
+    kiss_samples::all().iter().map(|sample| outcome(sample, engine)).collect()
+}
+
+/// The golden table's two LTL checks of every global of every sample.
+fn ltl_outcomes() -> Vec<KissOutcome> {
+    let mut outcomes = Vec::new();
+    for sample in kiss_samples::all() {
+        let program = sample.program();
+        for global in &program.globals {
+            for formula in ["G ({g} == 0)", "F G ({g} == 0)"] {
+                let parsed = kiss_ltl::parse(&formula.replace("{g}", &global.name))
+                    .expect("well-formed formula");
+                outcomes.push(
+                    kiss(Engine::Explicit)
+                        .check_ltl(&program, &parsed)
+                        .expect("every global is a proposition"),
+                );
+            }
+        }
+    }
+    outcomes
+}
+
 #[test]
 fn every_engine_keeps_its_state_store_footprint() {
     // The golden table pins what each engine explores; this pins what
     // its state store keeps while doing so. A leaner store lowers these
     // numbers on purpose and updates them; a fatter one fails here.
-    assert_eq!(store_totals(Engine::Explicit), (3_798, 619, 17_920, 28));
-    assert_eq!(store_totals(Engine::Bfs), (3_984, 1_232, 96_512, 18));
-    assert_eq!(store_totals(Engine::Summary), (3_009, 563, 12_544, 0));
+    assert_eq!(store_totals(assertion_outcomes(Engine::Explicit)), (3_798, 619, 17_920, 28));
+    assert_eq!(store_totals(assertion_outcomes(Engine::Bfs)), (3_984, 1_232, 96_512, 18));
+    assert_eq!(store_totals(assertion_outcomes(Engine::Summary)), (3_009, 563, 12_544, 0));
+    assert_eq!(store_totals(ltl_outcomes()), (10_853, 10_853, 898_232, 14));
 }
 
 #[test]

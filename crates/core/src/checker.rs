@@ -418,7 +418,7 @@ impl Kiss {
             .with_trace(trace, self.trace_parent)
             .check_with_stats();
         span.close();
-        // The product engine is the BFS engine's layered search over a
+        // The product engine runs the BFS engine's search over a
         // bigger state space; it reports under the same engine label.
         let stats = CheckStats {
             engine: Engine::Bfs,

@@ -1,8 +1,7 @@
 //! The one state store: the interned visited table every engine keys
-//! on fingerprints, the trace-segment interner, and the parent-edge
-//! walk that turns them back into a trace. The explicit, BFS and
-//! summary engines, the LTL product and the concurrent explorer all
-//! record their states here.
+//! on fingerprints, and the search tree the breadth-first engines grow
+//! over it. The explicit, BFS and summary engines, the LTL product and
+//! the concurrent explorer all record their states here.
 //!
 //! Explicit-state search lives or dies on its per-state bookkeeping
 //! (paper §6 bounds every check at 20 min / 800 MB). A
@@ -17,9 +16,11 @@
 //!   output is already avalanche-mixed, so the low bits are the slot
 //!   index) which hands out dense [`StateId`]s in insertion order,
 //!   giving the engines array-indexed parent maps for free;
-//! * [`SegmentInterner`] — a flat [`TraceStep`] arena with hash-dedup,
-//!   so a repeated segment costs one slice compare instead of a clone;
-//! * [`trace_to`] — the one walk from a state back to its root.
+//! * [`SearchTree`] — a visited table plus the parent edge of every
+//!   state, naming a segment interned in a flat [`TraceStep`] arena
+//!   with hash-dedup (a repeated segment costs one slice compare
+//!   instead of a clone); it rebuilds the trace to any state by walking
+//!   back to its root.
 
 use crate::step::TraceStep;
 
@@ -29,14 +30,6 @@ use crate::step::TraceStep;
 /// states and unsoundly prune the search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateCapExceeded;
-
-impl std::fmt::Display for StateCapExceeded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("state store id space exhausted")
-    }
-}
-
-impl std::error::Error for StateCapExceeded {}
 
 /// A dense index into a [`VisitedTable`], assigned in insertion order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -157,29 +150,35 @@ impl Default for VisitedTable {
     }
 }
 
-/// A handle to an interned trace segment.
+/// A handle to a trace segment interned in a [`SearchTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegId(u32);
 
 impl SegId {
-    /// The empty segment, pre-interned in every interner.
+    /// The empty segment, pre-interned in every tree.
     pub const EMPTY: SegId = SegId(0);
 }
 
-/// Interns `&[TraceStep]` segments into one flat arena.
+/// The states a breadth-first search found, with the edge to each from
+/// the state it was first reached from: the visited table, one parent
+/// edge per [`StateId`] and the trace segments the edges name.
 ///
 /// BFS discovers parent edges in segment-sized chunks, and the chunks
 /// repeat heavily: every path through a driver harness replays the same
-/// `schedule()` preamble, so the historical per-edge `Vec<TraceStep>`
-/// clone stored the same steps once per *edge* instead of once per
-/// *segment*. Interning stores each distinct segment once; an edge is
-/// then a 4-byte [`SegId`].
-pub struct SegmentInterner {
+/// `schedule()` preamble, so a per-edge `Vec<TraceStep>` would store the
+/// same steps once per *edge* instead of once per *segment*. The tree
+/// interns each distinct segment once into one flat arena; an edge then
+/// names it by a 4-byte [`SegId`].
+pub struct SearchTree {
+    visited: VisitedTable,
+    /// Parent edge per [`StateId`]; a root is its own parent — the
+    /// trace walk's termination sentinel.
+    parents: Vec<(StateId, SegId)>,
     /// All interned steps, segment after segment.
     steps: Vec<TraceStep>,
     /// `(start, len)` into `steps`, indexed by `SegId`.
     spans: Vec<(u32, u32)>,
-    /// Content hash per span, kept so `grow` re-probes without
+    /// Content hash per span, kept so `grow_segments` re-probes without
     /// re-hashing segment contents.
     hashes: Vec<u64>,
     /// Open-addressing index: 1-based `SegId`s keyed on the content
@@ -187,15 +186,48 @@ pub struct SegmentInterner {
     slots: Box<[u32]>,
 }
 
-impl SegmentInterner {
-    /// An empty interner holding only [`SegId::EMPTY`].
-    pub fn new() -> SegmentInterner {
-        SegmentInterner {
+impl SearchTree {
+    /// An empty tree over `visited`, whose capacity limit caps it,
+    /// holding only the segment [`SegId::EMPTY`].
+    pub fn new(visited: VisitedTable) -> SearchTree {
+        SearchTree {
+            visited,
+            parents: Vec::new(),
             steps: Vec::new(),
             spans: vec![(0, 0)],
             hashes: vec![0],
             slots: vec![0u32; INITIAL_SLOTS].into_boxed_slice(),
         }
+    }
+
+    /// Records `fp` as a root of the search, returning its id and
+    /// whether it is new.
+    pub fn root(&mut self, fp: (u64, u64)) -> Result<(StateId, bool), StateCapExceeded> {
+        let (id, new) = self.visited.insert(fp)?;
+        if new {
+            self.parents.push((id, SegId::EMPTY));
+        }
+        Ok((id, new))
+    }
+
+    /// Records `fp` as reached from `parent`, returning its id and
+    /// whether it is new. Only a new state calls `seg` for the segment
+    /// its parent edge names, so a segment no new state needs is never
+    /// interned.
+    #[inline]
+    pub fn child(
+        &mut self,
+        fp: (u64, u64),
+        parent: StateId,
+        seg: impl FnOnce(&mut SearchTree) -> SegId,
+    ) -> Result<(StateId, bool), StateCapExceeded> {
+        let (id, new) = self.visited.insert(fp)?;
+        if new {
+            debug_assert_eq!(self.parents.len(), id.0 as usize);
+            let seg = seg(self);
+            self.parents.push((parent, seg));
+        }
+        Ok((id, new))
     }
 
     /// Interns `segment`, returning the id of an existing identical
@@ -205,9 +237,9 @@ impl SegmentInterner {
             return SegId::EMPTY;
         }
         if self.spans.len() * 4 > self.slots.len() * 3 {
-            self.grow();
+            self.grow_segments();
         }
-        let hash = Self::hash_segment(segment);
+        let hash = hash_segment(segment);
         let mask = self.slots.len() - 1;
         let mut idx = hash as usize & mask;
         loop {
@@ -222,7 +254,7 @@ impl SegmentInterner {
                     return SegId(id);
                 }
                 slot => {
-                    if self.hashes[slot as usize] == hash && self.get(SegId(slot)) == segment {
+                    if self.hashes[slot as usize] == hash && self.segment(SegId(slot)) == segment {
                         return SegId(slot);
                     }
                     idx = (idx + 1) & mask;
@@ -231,8 +263,8 @@ impl SegmentInterner {
         }
     }
 
-    /// Doubles the slot array and re-probes every interned segment.
-    fn grow(&mut self) {
+    /// Doubles the segment index and re-probes every interned segment.
+    fn grow_segments(&mut self) {
         let new_len = self.slots.len() * 2;
         let mut slots = vec![0u32; new_len].into_boxed_slice();
         let mask = new_len - 1;
@@ -247,60 +279,59 @@ impl SegmentInterner {
     }
 
     /// The steps of an interned segment.
-    pub fn get(&self, id: SegId) -> &[TraceStep] {
+    pub fn segment(&self, id: SegId) -> &[TraceStep] {
         let (start, len) = self.spans[id.0 as usize];
         &self.steps[start as usize..(start + len) as usize]
     }
 
-    /// Exact bytes held by the arena and its index.
+    /// The steps from its root to the state `id`: walks parent edges
+    /// back to the self-parented root, then concatenates the edges'
+    /// segments in root-first order.
+    pub fn trace_to(&self, mut id: StateId) -> Vec<TraceStep> {
+        let mut segments: Vec<SegId> = Vec::new();
+        loop {
+            let (up, seg) = self.parents[id.0 as usize];
+            if up == id {
+                break;
+            }
+            segments.push(seg);
+            id = up;
+        }
+        segments.iter().rev().flat_map(|&seg| self.segment(seg)).copied().collect()
+    }
+
+    /// Number of states recorded.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.visited.len()
+    }
+
+    /// Whether no state is recorded.
+    pub fn is_empty(&self) -> bool {
+        self.visited.is_empty()
+    }
+
+    /// Exact bytes held by the table, the parent edges and the
+    /// segment arena with its index.
     pub fn bytes(&self) -> usize {
-        self.steps.capacity() * std::mem::size_of::<TraceStep>()
+        self.visited.bytes()
+            + self.parents.capacity() * std::mem::size_of::<(StateId, SegId)>()
+            + self.steps.capacity() * std::mem::size_of::<TraceStep>()
             + self.spans.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.hashes.capacity() * std::mem::size_of::<u64>()
             + self.slots.len() * std::mem::size_of::<u32>()
     }
-
-    /// A cheap content hash: (func, pc) per step under an FNV-style
-    /// fold. Collisions only cost an extra slice compare.
-    fn hash_segment(segment: &[TraceStep]) -> u64 {
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
-        for step in segment {
-            h = (h ^ u64::from(step.func.0)).wrapping_mul(0x0000_0100_0000_01B3);
-            h = (h ^ step.pc as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
-    }
 }
 
-impl Default for SegmentInterner {
-    fn default() -> Self {
-        SegmentInterner::new()
+/// A cheap content hash: (func, pc) per step under an FNV-style fold.
+/// Collisions only cost an extra slice compare.
+fn hash_segment(segment: &[TraceStep]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for step in segment {
+        h = (h ^ u64::from(step.func.0)).wrapping_mul(0x0000_0100_0000_01B3);
+        h = (h ^ step.pc as u64).wrapping_mul(0x0000_0100_0000_01B3);
     }
-}
-
-/// The steps from the root to the state `id`: walks parent edges —
-/// `parent` looks one up — back to the self-parented root, then
-/// concatenates the edges' interned segments in root-first order.
-pub fn trace_to(
-    interner: &SegmentInterner,
-    mut id: StateId,
-    parent: impl Fn(StateId) -> (StateId, SegId),
-) -> Vec<TraceStep> {
-    let mut segments: Vec<SegId> = Vec::new();
-    loop {
-        let (up, seg) = parent(id);
-        if up == id {
-            break;
-        }
-        segments.push(seg);
-        id = up;
-    }
-    let total: usize = segments.iter().map(|&s| interner.get(s).len()).sum();
-    let mut steps = Vec::with_capacity(total);
-    for &seg in segments.iter().rev() {
-        steps.extend_from_slice(interner.get(seg));
-    }
-    steps
+    h
 }
 
 #[cfg(test)]
@@ -337,7 +368,7 @@ mod tests {
 
     #[test]
     fn interner_dedups_repeated_segments() {
-        let mut i = SegmentInterner::new();
+        let mut i = SearchTree::new(VisitedTable::new());
         let preamble: Vec<TraceStep> = (0..10).map(|pc| step(0, pc)).collect();
         let other: Vec<TraceStep> = (0..10).map(|pc| step(1, pc)).collect();
 
@@ -352,13 +383,13 @@ mod tests {
             assert_eq!(i.intern(&other), b);
         }
         assert_eq!(i.bytes(), arena_after_two);
-        assert_eq!(i.get(a), &preamble[..]);
-        assert_eq!(i.get(b), &other[..]);
+        assert_eq!(i.segment(a), &preamble[..]);
+        assert_eq!(i.segment(b), &other[..]);
     }
 
     #[test]
     fn interner_separates_hash_colliding_but_unequal_segments() {
-        let mut i = SegmentInterner::new();
+        let mut i = SearchTree::new(VisitedTable::new());
         // Same (func, pc) content hash, different spans/origin would
         // still hash equal — here we vary pc so contents differ but
         // prefixes collide in the index buckets.
@@ -367,28 +398,33 @@ mod tests {
         let a = i.intern(&s1);
         let b = i.intern(&s2);
         assert_ne!(a, b);
-        assert_eq!(i.get(a), &s1[..]);
-        assert_eq!(i.get(b), &s2[..]);
+        assert_eq!(i.segment(a), &s1[..]);
+        assert_eq!(i.segment(b), &s2[..]);
     }
 
     #[test]
     fn trace_to_concatenates_segments_from_the_root() {
-        let mut i = SegmentInterner::new();
-        let a = i.intern(&[step(0, 0), step(0, 1)]);
-        let b = i.intern(&[step(1, 0)]);
-        // 0 is the self-parented root; 2 hangs off 1, 1 off the root.
-        let parents = [(StateId(0), SegId::EMPTY), (StateId(0), a), (StateId(1), b)];
-        let parent = |id: StateId| parents[id.0 as usize];
-        assert_eq!(trace_to(&i, StateId(2), parent), vec![step(0, 0), step(0, 1), step(1, 0)]);
-        assert_eq!(trace_to(&i, StateId(1), parent), vec![step(0, 0), step(0, 1)]);
-        assert!(trace_to(&i, StateId(0), parent).is_empty());
+        let mut t = SearchTree::new(VisitedTable::new());
+        let (root, _) = t.root((0, 0)).unwrap();
+        let a = [step(0, 0), step(0, 1)];
+        let (one, new) = t.child((1, 1), root, |t| t.intern(&a)).unwrap();
+        assert!(new);
+        let (two, _) = t.child((2, 2), one, |t| t.intern(&[step(1, 0)])).unwrap();
+        // A state reached again keeps its first parent edge and never
+        // asks for the new edge's segment.
+        let again = t.child((2, 2), root, |_| unreachable!("only new states intern"));
+        assert_eq!(again.unwrap(), (two, false));
+        assert_eq!(t.trace_to(two), vec![step(0, 0), step(0, 1), step(1, 0)]);
+        assert_eq!(t.trace_to(one), vec![step(0, 0), step(0, 1)]);
+        assert!(t.trace_to(root).is_empty());
+        assert_eq!(t.len(), 3);
     }
 
     #[test]
     fn empty_segment_is_preinterned() {
-        let mut i = SegmentInterner::new();
+        let mut i = SearchTree::new(VisitedTable::new());
         assert_eq!(i.intern(&[]), SegId::EMPTY);
-        assert_eq!(i.get(SegId::EMPTY), &[] as &[TraceStep]);
+        assert_eq!(i.segment(SegId::EMPTY), &[] as &[TraceStep]);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! automaton for its negation (on-the-fly GPVW tableau + counter
 //! degeneralization) and explores the product of the sequentialized
 //! program with that automaton. An accepting lasso in the product is a
-//! concrete infinite run violating the formula; the engine reconstructs
-//! it as a finite stem plus a repeating cycle using the same interned
-//! segment store the safety BFS engine uses.
+//! concrete infinite run violating the formula; the engine explores it
+//! through the safety BFS engine's search and reconstructs a violation
+//! as a finite stem plus a repeating cycle from the same search tree.
 //!
 //! Pipeline: [`parse()`] → [`Buchi::for_negation`] → [`resolve_atoms`] →
 //! [`ProductChecker`] → [`LtlVerdict`].

@@ -1,11 +1,13 @@
 //! Product exploration: sequentialized program × Büchi automaton.
 //!
-//! The engine explores product states `(config, büchi-state)` with the
-//! same layered BFS + interned-store machinery as the sequential BFS
-//! engine: configurations fingerprint through [`Config::fingerprint`],
-//! product fingerprints fold in the automaton state, and parent edges
-//! hold [`SegId`]s so a counterexample reconstructs lazily. Liveness
-//! run semantics over the KISS-transformed program:
+//! The engine explores product states `(config, büchi-state)` through
+//! the bfs engine's breadth-first [`Search`]: configurations
+//! fingerprint through [`Config::fingerprint_base`], product
+//! fingerprints fold in the automaton state, and the search tree's
+//! parent edges name interned segments so a counterexample
+//! reconstructs lazily. The engine supplies only the expansion of one
+//! product state, plus the full edge list the lasso search needs.
+//! Liveness run semantics over the KISS-transformed program:
 //!
 //! * a *terminated* configuration (empty stack) stutters — the final
 //!   state repeats forever, so `G`-type obligations keep being judged
@@ -27,9 +29,10 @@
 use std::collections::{HashMap, VecDeque};
 
 use kiss_exec::step::{self, Fault, Step};
-use kiss_exec::store::{trace_to, SegId, SegmentInterner, StateId, VisitedTable};
+use kiss_exec::store::{SearchTree, SegId, StateId, VisitedTable};
 use kiss_exec::{fingerprint_of, ExecError, Module, TraceStep};
 use kiss_obs::{Obs, Span, TraceId};
+use kiss_seq::bfs::Search;
 use kiss_seq::config::Config;
 use kiss_seq::{BoundReason, Budget, CancelToken, EngineStats, ErrorTrace, Meter};
 use kiss_lang::hir::Origin;
@@ -87,12 +90,31 @@ pub enum LtlVerdict {
     RuntimeError(ExecError, ErrorTrace),
 }
 
-/// Program-level successors of one configuration: each successor with
-/// the step that produced it (`None` marks a terminal stutter).
-type ProgStep = Result<Vec<(Config, Option<TraceStep>)>, (ExecError, TraceStep)>;
+/// A product state in the search's queue: a configuration and a Büchi
+/// state.
+type Node = (Config, u32);
 
-/// Product-level successors of one node.
-type Expanded = Result<Vec<(Config, u32, Option<TraceStep>)>, (ExecError, TraceStep)>;
+/// The product graph beside the search tree: every edge, not just the
+/// tree's — lasso detection needs them all — and which states accept.
+#[derive(Default)]
+struct Graph {
+    /// Successor ids per [`StateId`], each with the edge's segment.
+    adj: Vec<Vec<(u32, SegId)>>,
+    accepting: Vec<bool>,
+}
+
+impl Graph {
+    /// Adds the state the tree just minted.
+    fn add(&mut self, accepting: bool) {
+        self.adj.push(Vec::new());
+        self.accepting.push(accepting);
+    }
+
+    /// Bytes held by the edges.
+    fn bytes(&self) -> usize {
+        self.adj.iter().map(Vec::len).sum::<usize>() * std::mem::size_of::<(u32, SegId)>()
+    }
+}
 
 /// The product-exploration checker.
 pub struct ProductChecker<'a> {
@@ -171,25 +193,32 @@ impl<'a> ProductChecker<'a> {
         state.pos.iter().all(|&a| truth(a)) && state.neg.iter().all(|&a| !truth(a))
     }
 
-    /// Executes the single instruction at `config`'s top frame through
-    /// kiss-exec's shared [`step::step`], returning every program
-    /// successor (the Büchi automaton may branch at every step). Two
-    /// policies differ from the safety engines: a false `assert` prunes
-    /// like a false `assume` — assertion failures are the safety
-    /// checker's verdict, and a failed path has no infinite
-    /// continuation — and RAISE branch targets are dropped.
-    fn step_config(&self, config: &Config) -> ProgStep {
+    /// Expands the product state `id`: executes the single instruction
+    /// at its configuration's top frame through kiss-exec's shared
+    /// [`step::step`], in place, and pairs each program successor with
+    /// every Büchi successor of `q` whose label it satisfies (the
+    /// automaton may branch at every step). Two policies differ from
+    /// the safety engines: a false `assert` prunes like a false
+    /// `assume` — assertion failures are the safety checker's verdict,
+    /// and a failed path has no infinite continuation — and RAISE
+    /// branch targets are dropped.
+    fn expand(
+        &self,
+        search: &mut Search<Node>,
+        graph: &mut Graph,
+        (mut config, q): Node,
+        id: StateId,
+    ) -> Result<Option<LtlVerdict>, BoundReason> {
         let Some((instr, at)) = step::current(self.module, &config.stack) else {
             // Terminated: the final state repeats forever.
-            return Ok(vec![(config.clone(), None)]);
+            return self.pair(search, graph, (config, q), id, None, std::iter::once(usize::MAX));
         };
-        let mut config = config.clone();
-        match step::step(&mut config.thread(self.module), instr) {
-            Ok(Step::Continue | Step::Finished) => Ok(vec![(config, Some(at))]),
-            Ok(Step::Pruned) | Err(Fault::Assert) => Ok(Vec::new()),
-            Err(Fault::Exec(e)) => Err((e, at)),
-            // One stack has no second thread to start.
-            Ok(Step::Spawn(_)) => Err((ExecError::AsyncInSequential, at)),
+        let e = match step::step(&mut config.thread(self.module), instr) {
+            Ok(Step::Continue | Step::Finished) => {
+                let here = config.stack.last().map_or(usize::MAX, |frame| frame.pc);
+                return self.pair(search, graph, (config, q), id, Some(at), std::iter::once(here));
+            }
+            Ok(Step::Pruned) | Err(Fault::Assert) => return Ok(None),
             Ok(Step::Branch(targets)) => {
                 let meta = &self.module.body(at.func).meta;
                 // The transformation's RAISE arms truncate a thread
@@ -199,170 +228,124 @@ impl<'a> ProductChecker<'a> {
                 // arms: every started thread runs to completion, and
                 // F-obligations are judged only against complete
                 // balanced runs.
-                let kept = targets.iter().filter(|&&t| meta[t].origin != Origin::Raise);
-                Ok(kept
-                    .map(|&t| {
-                        let mut c = config.clone();
-                        c.stack.last_mut().expect("nonempty").pc = t;
-                        (c, Some(at))
-                    })
-                    .collect())
+                let kept = targets.iter().copied().filter(|&t| meta[t].origin != Origin::Raise);
+                return self.pair(search, graph, (config, q), id, Some(at), kept);
             }
-        }
+            // One stack has no second thread to start.
+            Ok(Step::Spawn(_)) => ExecError::AsyncInSequential,
+            Err(Fault::Exec(e)) => e,
+        };
+        let mut steps = search.tree.trace_to(id);
+        steps.push(at);
+        let trace = ErrorTrace { steps, globals: config.mem.globals().to_vec() };
+        Ok(Some(LtlVerdict::RuntimeError(e, trace)))
     }
 
-    /// Expands one product node: its program successors paired with
-    /// every Büchi successor whose label they satisfy.
-    fn expand(&self, config: &Config, q: u32) -> Expanded {
-        let succs = self.step_config(config)?;
-        let mut out = Vec::new();
-        for (c2, step) in &succs {
+    /// Records the edges from the product state `id` to the stepped
+    /// `config`, steered to each of `pcs`, paired with every Büchi
+    /// successor of `q` whose label it satisfies. Each edge is
+    /// fingerprinted on `config` itself; only a new product state pays
+    /// for a clone, and the last one inherits `config`.
+    fn pair(
+        &self,
+        search: &mut Search<Node>,
+        graph: &mut Graph,
+        (mut config, q): Node,
+        id: StateId,
+        at: Option<TraceStep>,
+        pcs: impl Iterator<Item = usize>,
+    ) -> Result<Option<LtlVerdict>, BoundReason> {
+        config.debug_assert_digests();
+        let base = config.fingerprint_base();
+        let mut seg = None;
+        let mut pending = None;
+        for pc in pcs {
+            let (a, b) = base.with_pc(pc);
             for &q2 in &self.buchi.states[q as usize].succs {
-                if self.label_holds(&self.buchi.states[q2 as usize], c2) {
-                    out.push((c2.clone(), q2, *step));
+                let state = &self.buchi.states[q2 as usize];
+                if !self.label_holds(state, &config) {
+                    continue;
+                }
+                let seg = *seg.get_or_insert_with(|| match &at {
+                    Some(at) => search.tree.intern(std::slice::from_ref(at)),
+                    None => SegId::EMPTY,
+                });
+                let (child, new) = search.child(fingerprint_of(&(a, b, q2)), id, |_| seg)?;
+                graph.adj[id.0 as usize].push((child.0, seg));
+                if new {
+                    graph.add(state.accepting);
+                    if let Some((pc, q2, child)) = pending.replace((pc, q2, child)) {
+                        let mut c = config.clone();
+                        steer(&mut c, pc);
+                        search.push((c, q2), child);
+                    }
                 }
             }
         }
-        Ok(out)
+        if let Some((pc, q2, child)) = pending {
+            steer(&mut config, pc);
+            search.push((config, q2), child);
+        }
+        Ok(None)
     }
 
     /// Runs the product exploration to a verdict plus engine stats.
     pub fn check_with_stats(&self) -> (LtlVerdict, EngineStats) {
-        let mut meter = Meter::new(self.budget, self.cancel.clone())
+        let meter = Meter::new(self.budget, self.cancel.clone())
             .with_observer(self.obs.clone(), "ltl")
             .with_state_size(96);
-        let mut visited = VisitedTable::new();
-        let mut interner = SegmentInterner::new();
-        // Parent edge per product state (roots are self-parented) and
-        // the full adjacency — lasso detection needs every edge, not
-        // just the BFS tree.
-        let mut parents: Vec<(StateId, SegId)> = Vec::new();
-        let mut adj: Vec<Vec<(u32, SegId)>> = Vec::new();
-        let mut accepting: Vec<bool> = Vec::new();
-        let mut frontier: Vec<(StateId, u32, Config)> = Vec::new();
-
+        let mut search = Search::new(meter, SearchTree::new(VisitedTable::new()));
+        let mut graph = Graph::default();
         let root = Config::initial(self.module);
         root.debug_assert_digests();
-        let root_fp = root.fingerprint();
+        let (a, b) = root.fingerprint();
         for &q in &self.buchi.initial {
-            if self.label_holds(&self.buchi.states[q as usize], &root) {
-                let fp = fingerprint_of(&(root_fp.0, root_fp.1, q));
-                let (id, fresh) = visited.insert(fp).expect("empty table has capacity");
-                if fresh {
-                    debug_assert_eq!(id.0 as usize, parents.len());
-                    parents.push((id, SegId::EMPTY));
-                    adj.push(Vec::new());
-                    accepting.push(self.buchi.states[q as usize].accepting);
-                    frontier.push((id, q, root.clone()));
+            let state = &self.buchi.states[q as usize];
+            if self.label_holds(state, &root) {
+                let (id, new) = search
+                    .tree
+                    .root(fingerprint_of(&(a, b, q)))
+                    .expect("the roots fit an uncapped table");
+                if new {
+                    graph.add(state.accepting);
+                    search.push((root.clone(), q), id);
                 }
             }
         }
-        let mut frontier_peak = frontier.len();
 
-        macro_rules! stats {
-            () => {
-                EngineStats {
-                    steps: meter.usage.steps,
-                    states: visited.len(),
-                    frontier_peak,
-                    states_stored: visited.len(),
-                    store_bytes: visited.bytes()
-                        + interner.bytes()
-                        + parents.len() * std::mem::size_of::<(StateId, SegId)>()
-                        + adj.iter().map(|v| v.len()).sum::<usize>()
-                            * std::mem::size_of::<(u32, SegId)>(),
-                    speculative_steps: meter.usage.steps,
-                    product_states: visited.len(),
-                    buchi_states: self.buchi.states.len(),
-                    ..EngineStats::default()
-                }
-            };
-        }
-        macro_rules! bound {
-            ($reason:expr) => {{
-                let reason = $reason;
-                return (
-                    LtlVerdict::ResourceBound {
-                        steps: meter.usage.steps,
-                        states: meter.usage.states,
-                        reason,
-                    },
-                    stats!(),
-                );
-            }};
-        }
-
-        while !frontier.is_empty() {
-            frontier_peak = frontier_peak.max(frontier.len());
-            let mut next: Vec<(StateId, u32, Config)> = Vec::new();
-            for (id, q, config) in &frontier {
-                if let Err(reason) = meter.advance(1) {
-                    bound!(reason);
-                }
-                match self.expand(config, *q) {
-                    Err((e, step)) => {
-                        let mut steps = trace_to(&interner, *id, |id| parents[id.0 as usize]);
-                        steps.push(step);
-                        let trace =
-                            ErrorTrace { steps, globals: config.mem.globals().to_vec() };
-                        return (LtlVerdict::RuntimeError(e, trace), stats!());
-                    }
-                    Ok(succs) => {
-                        for (c2, q2, step) in succs {
-                            c2.debug_assert_digests();
-                            let cfp = c2.fingerprint();
-                            let fp = fingerprint_of(&(cfp.0, cfp.1, q2));
-                            let (sid, fresh) = match visited.insert(fp) {
-                                Ok(x) => x,
-                                Err(_) => bound!(BoundReason::StateCap),
-                            };
-                            let seg = match &step {
-                                Some(s) => interner.intern(std::slice::from_ref(s)),
-                                None => SegId::EMPTY,
-                            };
-                            adj[id.0 as usize].push((sid.0, seg));
-                            if fresh {
-                                debug_assert_eq!(sid.0 as usize, parents.len());
-                                parents.push((*id, seg));
-                                adj.push(Vec::new());
-                                accepting.push(self.buchi.states[q2 as usize].accepting);
-                                next.push((sid, q2, c2));
-                            }
-                        }
-                    }
-                }
-                meter.note_states(visited.len());
-                if let Some(reason) = meter.over_budget() {
-                    bound!(reason);
-                }
+        let end = search.run(|search, node, id| self.expand(search, &mut graph, node, id));
+        let verdict = match end {
+            Ok(Some(verdict)) => verdict,
+            Err(reason) => LtlVerdict::ResourceBound {
+                steps: search.meter.usage.steps,
+                states: search.meter.usage.states,
+                reason,
+            },
+            Ok(None) => {
+                // Exploration complete: find an accepting lasso. The
+                // span carries the SCC/lasso wall time into the trace
+                // stream without touching the deterministic stdout.
+                let span = Span::open(&self.obs, self.trace, self.trace_parent, "scc");
+                let lasso = Self::find_lasso(&graph, &search.tree);
+                span.close();
+                lasso.map_or(LtlVerdict::Holds, LtlVerdict::Violated)
             }
-            if let Err(reason) = meter.poll() {
-                bound!(reason);
-            }
-            frontier = next;
-        }
-
-        // Exploration complete: find an accepting lasso. The span
-        // carries the SCC/lasso wall time into the trace stream without
-        // touching the deterministic stdout.
-        let span = Span::open(&self.obs, self.trace, self.trace_parent, "scc");
-        let lasso = Self::find_lasso(&adj, &accepting, &parents, &interner);
-        span.close();
-        match lasso {
-            Some(l) => (LtlVerdict::Violated(l), stats!()),
-            None => (LtlVerdict::Holds, stats!()),
-        }
+        };
+        let stats = search.stats();
+        let stats = EngineStats {
+            store_bytes: stats.store_bytes + graph.bytes(),
+            product_states: stats.states,
+            buchi_states: self.buchi.states.len(),
+            ..stats
+        };
+        (verdict, stats)
     }
 
     /// Iterative Tarjan SCC + deterministic counterexample selection:
     /// the smallest accepting state inside a nontrivial SCC anchors the
     /// lasso; its cycle is the shortest path back to it within the SCC.
-    fn find_lasso(
-        adj: &[Vec<(u32, SegId)>],
-        accepting: &[bool],
-        parents: &[(StateId, SegId)],
-        interner: &SegmentInterner,
-    ) -> Option<Lasso> {
+    fn find_lasso(graph: &Graph, tree: &SearchTree) -> Option<Lasso> {
+        let Graph { adj, accepting } = graph;
         let n = adj.len();
         const UNSET: u32 = u32::MAX;
         let mut index = vec![UNSET; n];
@@ -434,22 +417,8 @@ impl<'a> ProductChecker<'a> {
         // Shortest cycle through the anchor, inside its SCC.
         let scc = comp[anchor as usize];
         let mut pred: HashMap<u32, (u32, SegId)> = HashMap::new();
-        let mut queue: VecDeque<u32> = VecDeque::new();
-        let mut cycle_segs: Option<Vec<SegId>> = None;
-        'search: for &(w, seg) in &adj[anchor as usize] {
-            if comp[w as usize] != scc {
-                continue;
-            }
-            if w == anchor {
-                cycle_segs = Some(vec![seg]);
-                break 'search;
-            }
-            if let std::collections::hash_map::Entry::Vacant(e) = pred.entry(w) {
-                e.insert((anchor, seg));
-                queue.push_back(w);
-            }
-        }
-        while cycle_segs.is_none() {
+        let mut queue = VecDeque::from([anchor]);
+        let cycle_segs = 'search: loop {
             let u = queue.pop_front().expect("anchor SCC is nontrivial, a cycle exists");
             for &(w, seg) in &adj[u as usize] {
                 if comp[w as usize] != scc {
@@ -464,21 +433,28 @@ impl<'a> ProductChecker<'a> {
                         cur = p;
                     }
                     segs.reverse();
-                    cycle_segs = Some(segs);
-                    break;
+                    break 'search segs;
                 }
                 if let std::collections::hash_map::Entry::Vacant(e) = pred.entry(w) {
                     e.insert((u, seg));
                     queue.push_back(w);
                 }
             }
-        }
-        let stem = trace_to(interner, StateId(anchor), |id| parents[id.0 as usize]);
+        };
+        let stem = tree.trace_to(StateId(anchor));
         let mut cycle = Vec::new();
-        for &s in &cycle_segs.expect("set above") {
-            cycle.extend_from_slice(interner.get(s));
+        for &s in &cycle_segs {
+            cycle.extend_from_slice(tree.segment(s));
         }
         Some(Lasso { stem, cycle })
+    }
+}
+
+/// Points `config`'s top frame at `pc`; a terminated configuration
+/// has no frame to steer.
+fn steer(config: &mut Config, pc: usize) {
+    if let Some(frame) = config.stack.last_mut() {
+        frame.pc = pc;
     }
 }
 

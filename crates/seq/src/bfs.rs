@@ -1,28 +1,26 @@
-//! Breadth-first variant of the explicit-state checker: finds a
-//! counterexample of **minimal branch depth**.
+//! Breadth-first search: the one loop of the breadth-first engines, and
+//! the breadth-first checker, which finds a counterexample of **minimal
+//! branch depth**.
 //!
 //! The DFS engine ([`crate::explicit`]) returns the first error it
 //! stumbles into, which can be needlessly long; model checkers like
 //! SLAM put effort into short traces because humans read them. This
 //! engine explores configurations in breadth-first order over
-//! *decision points* (nondeterministic branches and loop entries) and
-//! reconstructs the trace through a parent map.
+//! *decision points* (nondeterministic branches and loop entries). Its
+//! queue stores whole configurations, trading memory for trace
+//! quality; prefer the DFS engine for pure verdicts.
 //!
-//! The BFS frontier stores whole configurations, so it trades memory
-//! for trace quality; prefer the DFS engine for pure verdicts.
-//!
-//! The state store keys an open-addressing [`VisitedTable`] on **split
-//! fingerprints** (the shared part of a branch's alternatives is hashed
-//! once, each alternative finishes in O(1)), indexes the parent map by
-//! dense [`StateId`]s, and interns the per-edge trace segments — the
-//! `schedule()` preambles repeat heavily, so an owned segment per edge
-//! would store the same steps once per edge instead of once per
-//! distinct segment.
+//! [`Search`] owns the loop over a [`SearchTree`]; an engine supplies
+//! only the expansion of one node. [`BfsChecker`] runs a segment to its
+//! next branch and fingerprints the alternatives on **split
+//! fingerprints** (the shared part is hashed once, each alternative
+//! finishes in O(1)); the LTL product (`kiss-ltl`) steps one
+//! instruction and pairs it with a Büchi automaton.
 
 use std::collections::VecDeque;
 
 use kiss_exec::step::{self, Fault, Step};
-use kiss_exec::store::{trace_to, SegId, SegmentInterner, StateCapExceeded, StateId, VisitedTable};
+use kiss_exec::store::{SearchTree, SegId, StateCapExceeded, StateId, VisitedTable};
 use kiss_exec::{ExecError, Module, TraceStep, Value};
 use kiss_obs::Obs;
 
@@ -32,31 +30,89 @@ use crate::config::Config;
 use crate::stats::EngineStats;
 use crate::verdict::{ErrorTrace, Verdict};
 
-/// The search's state storage.
-struct Store {
-    visited: VisitedTable,
-    /// Parent edge per [`StateId`]; the root is its own parent — the
-    /// reconstruction walk's termination sentinel.
-    parents: Vec<(StateId, SegId)>,
-    /// The trace segments the parent edges name.
-    interner: SegmentInterner,
+/// A breadth-first search over nodes of type `N`, each queued with the
+/// [`StateId`] of its state in the tree.
+pub struct Search<N> {
+    /// One step per expansion (an expansion that executes more
+    /// instructions ticks the rest itself), and the tree's size.
+    pub meter: Meter,
+    /// Every state found, with the edge to it from its parent.
+    pub tree: SearchTree,
+    queue: VecDeque<(N, StateId)>,
+    /// The longest the queue grew.
+    pub frontier_peak: usize,
 }
 
-impl Store {
-    /// Exact bytes held by visited + parent storage.
-    fn bytes(&self) -> usize {
-        self.visited.bytes()
-            + self.parents.capacity() * std::mem::size_of::<(StateId, SegId)>()
-            + self.interner.bytes()
+impl<N> Search<N> {
+    /// A search with an empty queue over `tree`; mint its roots with
+    /// [`SearchTree::root`] and queue them with [`Search::push`].
+    pub fn new(meter: Meter, tree: SearchTree) -> Self {
+        Search { meter, tree, queue: VecDeque::new(), frontier_peak: 0 }
     }
 
-    /// The full trace to the node `id` followed by `tail`, ending with
-    /// the failing configuration's `globals` — rebuilt lazily, only
-    /// when a violation is actually reported.
-    fn trace(&self, id: StateId, tail: Vec<TraceStep>, globals: Vec<Value>) -> ErrorTrace {
-        let mut steps = trace_to(&self.interner, id, |id| self.parents[id.0 as usize]);
-        steps.extend(tail);
-        ErrorTrace { steps, globals }
+    /// Queues `node`, the state `id`.
+    #[inline]
+    pub fn push(&mut self, node: N, id: StateId) {
+        self.queue.push_back((node, id));
+        self.frontier_peak = self.frontier_peak.max(self.queue.len());
+    }
+
+    /// Records `fp` as reached from `parent` (see [`SearchTree::child`])
+    /// and counts a new state against the budget. A full tree is
+    /// [`BoundReason::StateCap`], which no larger budget widens.
+    #[inline]
+    pub fn child(
+        &mut self,
+        fp: (u64, u64),
+        parent: StateId,
+        seg: impl FnOnce(&mut SearchTree) -> SegId,
+    ) -> Result<(StateId, bool), BoundReason> {
+        match self.tree.child(fp, parent, seg) {
+            Ok((id, new)) => {
+                if new {
+                    self.meter.note_states(self.tree.len());
+                }
+                Ok((id, new))
+            }
+            Err(StateCapExceeded) => {
+                self.meter.emit_violation(BoundReason::StateCap);
+                Err(BoundReason::StateCap)
+            }
+        }
+    }
+
+    /// Expands queued nodes in FIFO order until the queue runs dry
+    /// (`Ok(None)`), an expansion finds what the engine reports
+    /// (`Ok(Some)`), or the budget trips — checked before each
+    /// expansion by one [`Meter::tick`] and after it for the states it
+    /// added.
+    pub fn run<T>(
+        &mut self,
+        mut expand: impl FnMut(&mut Self, N, StateId) -> Result<Option<T>, BoundReason>,
+    ) -> Result<Option<T>, BoundReason> {
+        while let Some((node, id)) = self.queue.pop_front() {
+            self.meter.tick()?;
+            if let Some(found) = expand(self, node, id)? {
+                return Ok(Some(found));
+            }
+            if let Some(reason) = self.meter.over_budget() {
+                return Err(reason);
+            }
+        }
+        Ok(None)
+    }
+
+    /// The statistics every breadth-first engine reports.
+    pub fn stats(&self) -> EngineStats {
+        EngineStats {
+            steps: self.meter.usage.steps,
+            states: self.tree.len(),
+            frontier_peak: self.frontier_peak,
+            states_stored: self.tree.len(),
+            store_bytes: self.tree.bytes(),
+            speculative_steps: self.meter.usage.steps,
+            ..EngineStats::default()
+        }
     }
 }
 
@@ -67,7 +123,6 @@ pub struct BfsChecker<'a> {
     budget: Budget,
     cancel: CancelToken,
     obs: Obs,
-    state_cap: Option<u32>,
 }
 
 impl<'a> BfsChecker<'a> {
@@ -78,7 +133,6 @@ impl<'a> BfsChecker<'a> {
             budget: Budget::default(),
             cancel: CancelToken::default(),
             obs: Obs::off(),
-            state_cap: None,
         }
     }
 
@@ -88,15 +142,6 @@ impl<'a> BfsChecker<'a> {
     /// perfbench's parallel leg.
     #[doc(hidden)]
     pub fn with_jobs(self, _jobs: usize) -> Self {
-        self
-    }
-
-    /// Caps the visited table at `cap` entries, surfacing
-    /// [`BoundReason::StateCap`] when the search outgrows it. Primarily
-    /// a testing and hard-memory-ceiling knob; the default cap is the
-    /// full id space.
-    pub fn with_state_cap(mut self, cap: u32) -> Self {
-        self.state_cap = Some(cap);
         self
     }
 
@@ -126,114 +171,85 @@ impl<'a> BfsChecker<'a> {
 
     /// Runs the check, also returning statistics.
     pub fn check_with_stats(&self) -> (Verdict, EngineStats) {
-        // The frontier stores whole configurations; charge a coarse
+        // The queue stores whole configurations; charge a coarse
         // per-state estimate well above a bare fingerprint.
-        let mut meter = Meter::new(self.budget, self.cancel.clone())
+        let meter = Meter::new(self.budget, self.cancel.clone())
             .with_state_size(256)
             .with_observer(self.obs.clone(), "bfs");
-        let mut frontier_peak = 1usize;
+        let mut search = Search::new(meter, SearchTree::new(VisitedTable::new()));
         let root = Config::initial(self.module);
-        let mut visited = match self.state_cap {
-            Some(cap) => VisitedTable::new().with_capacity_limit(cap),
-            None => VisitedTable::new(),
-        };
         root.debug_assert_digests();
-        let (root_id, _) = visited
-            .insert(root.fingerprint())
-            .expect("an empty table is never at capacity");
-        let mut store = Store {
-            visited,
-            parents: vec![(root_id, SegId::EMPTY)],
-            interner: SegmentInterner::new(),
-        };
-        let mut frontier: VecDeque<(Config, StateId)> = VecDeque::from([(root, root_id)]);
-
-        let stats = |meter: &Meter, store: &Store, frontier_peak: usize| EngineStats {
-            steps: meter.usage.steps,
-            states: store.visited.len(),
-            frontier_peak,
-            states_stored: store.visited.len(),
-            store_bytes: store.bytes(),
-            speculative_steps: meter.usage.steps,
-            ..EngineStats::default()
-        };
-
+        let (root_id, _) =
+            search.tree.root(root.fingerprint()).expect("an empty table is never at capacity");
+        search.push(root, root_id);
         // Segment steps accumulate into one scratch buffer reused
         // across segments instead of a fresh allocation per segment.
         let mut steps: Vec<TraceStep> = Vec::with_capacity(64);
-        while let Some((config, parent_id)) = frontier.pop_front() {
-            // Run the segment to the next decision point (or to an
-            // end), collecting its steps.
-            match self.run_segment(config, &mut meter, &mut steps) {
-                SegmentEnd::Budget(reason) => {
-                    return (meter.bound(reason), stats(&meter, &store, frontier_peak))
-                }
-                SegmentEnd::Error(fault, globals) => {
-                    let trace = store.trace(parent_id, std::mem::take(&mut steps), globals);
-                    return (Verdict::of_fault(fault, trace), stats(&meter, &store, frontier_peak));
-                }
-                SegmentEnd::Done => {}
-                SegmentEnd::Branch(mut config, targets) => {
-                    // The config is parked on its NondetJump; the
-                    // alternatives differ only in the top pc, so each
-                    // is fingerprinted *before* it exists — by steering
-                    // the parked config's pc — and only genuinely new
-                    // states pay for a clone. The shared part is hashed
-                    // once; the edge segment is interned only when some
-                    // alternative is new; the last new alternative
-                    // inherits the parked config instead of cloning it.
-                    config.debug_assert_digests();
-                    let base = config.fingerprint_base();
-                    let mut seg = None;
-                    let mut pending = None;
-                    let mut capped = false;
-                    for &t in targets {
-                        let afp = base.with_pc(t);
-                        let (id, new) = match store.visited.insert(afp) {
-                            Ok(entry) => entry,
-                            Err(StateCapExceeded) => {
-                                capped = true;
-                                break;
-                            }
-                        };
-                        if new {
-                            meter.note_states(store.visited.len());
-                            debug_assert_eq!(store.parents.len(), id.0 as usize);
-                            let seg = *seg.get_or_insert_with(|| store.interner.intern(&steps));
-                            store.parents.push((parent_id, seg));
-                            if let Some((pt, pid)) = pending.replace((t, id)) {
-                                let mut c = config.clone();
-                                c.stack.last_mut().expect("nonempty").pc = pt;
-                                frontier.push_back((c, pid));
-                            }
+        let end = search.run(|search, config, id| self.expand(search, config, id, &mut steps));
+        let verdict = match end {
+            Ok(found) => found.unwrap_or(Verdict::Pass),
+            Err(reason) => search.meter.bound(reason),
+        };
+        (verdict, search.stats())
+    }
+
+    /// Runs the segment from the node `id` to its next decision point
+    /// and queues the branch's new alternatives.
+    fn expand(
+        &self,
+        search: &mut Search<Config>,
+        config: Config,
+        id: StateId,
+        steps: &mut Vec<TraceStep>,
+    ) -> Result<Option<Verdict>, BoundReason> {
+        match self.run_segment(config, &mut search.meter, steps) {
+            SegmentEnd::Done => Ok(None),
+            SegmentEnd::Budget(reason) => Err(reason),
+            SegmentEnd::Error(fault, globals) => {
+                let mut trace = search.tree.trace_to(id);
+                trace.append(steps);
+                Ok(Some(Verdict::of_fault(fault, ErrorTrace { steps: trace, globals })))
+            }
+            SegmentEnd::Branch(mut config, targets) => {
+                // The config is parked on its NondetJump; the
+                // alternatives differ only in the top pc, so each is
+                // fingerprinted *before* it exists — by steering the
+                // parked config's pc — and only genuinely new states pay
+                // for a clone. The shared part is hashed once; the edge
+                // segment is interned only when some alternative is new;
+                // the last new alternative inherits the parked config
+                // instead of cloning it.
+                config.debug_assert_digests();
+                let base = config.fingerprint_base();
+                let steps = &*steps;
+                let mut seg = None;
+                let mut pending = None;
+                for &t in targets {
+                    let intern =
+                        |tree: &mut SearchTree| *seg.get_or_insert_with(|| tree.intern(steps));
+                    let (child, new) = search.child(base.with_pc(t), id, intern)?;
+                    if new {
+                        if let Some((pt, pid)) = pending.replace((t, child)) {
+                            let mut c = config.clone();
+                            c.stack.last_mut().expect("nonempty").pc = pt;
+                            search.push(c, pid);
                         }
                     }
-                    if let Some((pt, pid)) = pending {
-                        config.stack.last_mut().expect("nonempty").pc = pt;
-                        frontier.push_back((config, pid));
-                    }
-                    if capped {
-                        // The id space is structural: retrying with a
-                        // larger budget cannot widen it, so the typed
-                        // reason marks this non-retryable.
-                        meter.emit_violation(BoundReason::StateCap);
-                        let stats = stats(&meter, &store, frontier_peak);
-                        return (meter.bound(BoundReason::StateCap), stats);
-                    }
-                    frontier_peak = frontier_peak.max(frontier.len());
                 }
-            }
-            if let Some(reason) = meter.over_budget() {
-                return (meter.bound(reason), stats(&meter, &store, frontier_peak));
+                if let Some((pt, pid)) = pending {
+                    config.stack.last_mut().expect("nonempty").pc = pt;
+                    search.push(config, pid);
+                }
+                Ok(None)
             }
         }
-        (Verdict::Pass, stats(&meter, &store, frontier_peak))
     }
 
     /// Runs deterministically until the next NondetJump (returning the
     /// parked configuration), an error, an end, or the budget. The
     /// executed steps land in `steps` (cleared first), which the caller
-    /// reuses across segments.
+    /// reuses across segments. The search loop has charged the first
+    /// instruction; each one after it ticks here.
     fn run_segment(
         &self,
         mut config: Config,
@@ -245,12 +261,13 @@ impl<'a> BfsChecker<'a> {
             let Some((instr, at)) = step::current(self.module, &config.stack) else {
                 return SegmentEnd::Done;
             };
-            if let Err(reason) = meter.tick() {
-                return SegmentEnd::Budget(reason);
-            }
             steps.push(at);
             let fault = match step::step(&mut config.thread(self.module), instr) {
-                Ok(Step::Continue) => continue,
+                // A continuing thread has an instruction to run next.
+                Ok(Step::Continue) => match meter.tick() {
+                    Ok(()) => continue,
+                    Err(reason) => return SegmentEnd::Budget(reason),
+                },
                 Ok(Step::Finished | Step::Pruned) => return SegmentEnd::Done,
                 // Hand the parked config back; the caller steers its pc
                 // through the targets, cloning only new states.
@@ -397,13 +414,31 @@ mod tests {
     }
 
     #[test]
-    fn serial_state_cap_reports_typed_inconclusive() {
-        let m = module("int g; void main() { choice { g = 1; [] g = 2; } assert g == 1; }");
-        let v = BfsChecker::new(&m).with_state_cap(1).check();
-        let Verdict::ResourceBound { reason, states, .. } = v else { panic!("{v:?}") };
+    fn a_full_tree_stops_the_search_on_the_state_cap() {
+        let agg = kiss_obs::Aggregator::new();
+        let meter = Meter::new(Budget::generous(), CancelToken::new())
+            .with_observer(Obs::new(agg.clone()).with_label("t"), "t");
+        let tree = SearchTree::new(VisitedTable::new().with_capacity_limit(2));
+        let mut search: Search<u64> = Search::new(meter, tree);
+        let (root, _) = search.tree.root((0, 0)).unwrap();
+        search.push(0, root);
+        // Each node has two children; the third state overflows the
+        // tree.
+        let end = search.run(|search, n, id| {
+            for child in [2 * n + 1, 2 * n + 2] {
+                let (cid, new) = search.child((child, child), id, |_| SegId::EMPTY)?;
+                if new {
+                    search.push(child, cid);
+                }
+            }
+            Ok(None::<()>)
+        });
+        let Err(reason) = end else { panic!("{end:?}") };
         assert_eq!(reason, BoundReason::StateCap);
         assert!(!reason.retryable(), "a structural cap must not trigger retries");
-        assert!(states <= 1, "nothing past the cap is stored");
+        assert_eq!(search.tree.len(), 2, "nothing past the cap is stored");
+        assert_eq!(search.meter.usage.states, 2);
+        assert_eq!(agg.event_counts().get("budget_violated"), Some(&1));
     }
 
     #[test]

@@ -164,14 +164,9 @@ pub struct Usage {
 }
 
 impl Usage {
-    /// Whether the usage exceeds the budget's deterministic axes
-    /// (steps, states, memory estimate). Wall-clock and cancellation
-    /// are checked by [`Meter`], which owns the clock.
-    pub fn exceeded(&self, budget: &Budget) -> bool {
-        self.violation(budget).is_some()
-    }
-
-    /// The first deterministic axis this usage violates, if any.
+    /// The first deterministic axis (steps, states, memory estimate)
+    /// this usage violates, if any. Wall-clock and cancellation are
+    /// checked by [`Meter`], which owns the clock.
     pub fn violation(&self, budget: &Budget) -> Option<BoundReason> {
         if self.steps > budget.max_steps {
             Some(BoundReason::Steps)
@@ -277,8 +272,9 @@ impl Meter {
         }
     }
 
-    /// The infrequent part of [`Meter::tick`]: clock + cancellation,
-    /// plus (even less frequently) a progress event.
+    /// The infrequent part of [`Meter::tick`]: clock + cancellation
+    /// (cancellation first), plus (even less frequently) a progress
+    /// event.
     fn slow_tick(&mut self) -> Result<(), BoundReason> {
         if self.usage.steps & TICK_EVENT_MASK == 1 {
             self.obs.emit(|check| Event::EngineTick {
@@ -288,49 +284,6 @@ impl Meter {
                 states: self.usage.states as u64,
             });
         }
-        self.poll()
-    }
-
-    /// Counts `n` instructions at once — for engines whose unit of work
-    /// is not one instruction (the LTL product charges one step per
-    /// node expansion). Reports exactly what `n` [`Meter::tick`]s would
-    /// have: on a step-budget trip the usage is pinned to
-    /// `max_steps + 1` (a ticking run stops at the first over-budget
-    /// instruction, never overshooting), and the clock / cancellation
-    /// flag are polled when the advance crosses a 1024-step window.
-    pub fn advance(&mut self, n: u64) -> Result<(), BoundReason> {
-        let before = self.usage.steps;
-        if n > self.budget.max_steps.saturating_sub(before) {
-            self.usage.steps = self.budget.max_steps.saturating_add(1);
-            self.emit_violation(BoundReason::Steps);
-            return Err(BoundReason::Steps);
-        }
-        self.usage.steps = before + n;
-        if before & !TICK_EVENT_MASK != self.usage.steps & !TICK_EVENT_MASK {
-            self.obs.emit(|check| Event::EngineTick {
-                check: check.to_string(),
-                engine: self.engine,
-                steps: self.usage.steps,
-                states: self.usage.states as u64,
-            });
-        }
-        if before >> 10 != self.usage.steps >> 10 {
-            self.poll()
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Records the current distinct-state count (and the derived memory
-    /// estimate). Violations surface on the next [`Meter::tick`].
-    pub fn note_states(&mut self, states: usize) {
-        self.usage.states = states;
-        self.usage.mem_bytes = states.saturating_mul(self.bytes_per_state);
-    }
-
-    /// Checks the clock and the cancellation flag immediately,
-    /// regardless of the step count.
-    pub fn poll(&self) -> Result<(), BoundReason> {
         if self.cancel.is_cancelled() {
             self.emit_violation(BoundReason::Cancelled);
             return Err(BoundReason::Cancelled);
@@ -342,8 +295,15 @@ impl Meter {
         Ok(())
     }
 
+    /// Records the current distinct-state count (and the derived memory
+    /// estimate). Violations surface on the next [`Meter::tick`].
+    pub fn note_states(&mut self, states: usize) {
+        self.usage.states = states;
+        self.usage.mem_bytes = states.saturating_mul(self.bytes_per_state);
+    }
+
     /// Re-checks the deterministic axes without counting a step — for
-    /// engines that grow state in bulk between ticks (the BFS frontier
+    /// engines that grow state in bulk between ticks (a breadth-first
     /// expansion).
     pub fn over_budget(&self) -> Option<BoundReason> {
         let violation = self.usage.violation(&self.budget);
@@ -369,9 +329,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn exceeded_checks_both_axes() {
+    fn violation_checks_both_axes() {
         let b = Budget::steps_states(10, 5);
-        assert!(!Usage { steps: 10, states: 5, mem_bytes: 0 }.exceeded(&b));
+        assert!(Usage { steps: 10, states: 5, mem_bytes: 0 }.violation(&b).is_none());
         assert_eq!(
             Usage { steps: 11, states: 0, mem_bytes: 0 }.violation(&b),
             Some(BoundReason::Steps)
@@ -387,7 +347,7 @@ mod tests {
         let uncapped = Budget::steps_states(10, 5);
         let capped = uncapped.with_mem_limit(100);
         let usage = Usage { steps: 0, states: 0, mem_bytes: 101 };
-        assert!(!usage.exceeded(&uncapped));
+        assert!(usage.violation(&uncapped).is_none());
         assert_eq!(usage.violation(&capped), Some(BoundReason::Memory));
     }
 
@@ -434,34 +394,6 @@ mod tests {
         assert!(!BoundReason::Cancelled.retryable());
         assert!(!BoundReason::StateCap.retryable());
         assert!(!BoundReason::Unsupported.retryable());
-    }
-
-    #[test]
-    fn advance_matches_serial_ticks() {
-        // Within budget: advance(n) lands where n ticks would.
-        let mut bulk = Meter::new(Budget::steps_states(100, 100), CancelToken::new());
-        assert!(bulk.advance(40).is_ok());
-        assert!(bulk.advance(60).is_ok());
-        assert_eq!(bulk.usage.steps, 100);
-        // One step over: a ticking run reports max_steps + 1 (the trip
-        // happens at the first over-budget instruction), regardless of
-        // how far a bulk advance overshot.
-        assert_eq!(bulk.advance(1), Err(BoundReason::Steps));
-        assert_eq!(bulk.usage.steps, 101);
-        let mut overshoot = Meter::new(Budget::steps_states(100, 100), CancelToken::new());
-        assert_eq!(overshoot.advance(5000), Err(BoundReason::Steps));
-        assert_eq!(overshoot.usage.steps, 101);
-    }
-
-    #[test]
-    fn advance_polls_cancellation_across_windows() {
-        let cancel = CancelToken::new();
-        let mut m = Meter::new(Budget::generous(), cancel.clone());
-        cancel.cancel();
-        // A small advance inside one 1024-step window skips the poll…
-        assert!(m.advance(10).is_ok());
-        // …but crossing a window boundary observes the cancellation.
-        assert_eq!(m.advance(2048), Err(BoundReason::Cancelled));
     }
 
     #[test]
@@ -548,8 +480,8 @@ mod tests {
     fn poll_reports_cancellation_before_deadline() {
         let cancel = CancelToken::new();
         cancel.cancel();
-        let m = Meter::new(Budget::generous().with_deadline(Duration::ZERO), cancel);
-        assert_eq!(m.poll(), Err(BoundReason::Cancelled));
+        let mut m = Meter::new(Budget::generous().with_deadline(Duration::ZERO), cancel);
+        assert_eq!(m.tick(), Err(BoundReason::Cancelled));
     }
 
     #[test]

@@ -22,11 +22,13 @@ pub struct EngineStats {
     pub summaries: usize,
     /// Fixpoint rounds taken. Summary engine only.
     pub rounds: u32,
-    /// Peak size of the pending set (DFS stack / BFS queue). Explicit
-    /// and BFS engines.
+    /// Peak length of the queue of states waiting to be expanded: the
+    /// explicit engine's DFS stack (with the path it is on), the
+    /// breadth-first queue of the BFS engine and of the LTL product.
+    /// Zero for the summary engine.
     pub frontier_peak: usize,
-    /// Entries held by the state store at the end of the run (visited
-    /// fingerprints, plus interned trace segments for BFS). All
+    /// Fingerprints held by the state store's visited tables at the end
+    /// of the run (the summary engine sums its per-body tables). All
     /// engines.
     pub states_stored: usize,
     /// Exact bytes held by the state store. All engines.
