@@ -378,7 +378,7 @@ fn every_engine_keeps_its_state_store_footprint() {
     assert_eq!(store_totals(assertion_outcomes(Engine::Explicit)), (3_798, 619, 17_920, 28));
     assert_eq!(store_totals(assertion_outcomes(Engine::Bfs)), (3_984, 1_232, 96_512, 18));
     assert_eq!(store_totals(assertion_outcomes(Engine::Summary)), (3_009, 563, 12_544, 0));
-    assert_eq!(store_totals(ltl_outcomes()), (10_853, 10_853, 898_232, 14));
+    assert_eq!(store_totals(ltl_outcomes()), (10_853, 10_853, 1_483_040, 14));
 }
 
 #[test]

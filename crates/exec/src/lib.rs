@@ -28,7 +28,6 @@
 //! instead of copying states at branches.
 
 pub mod cfg;
-pub mod cow;
 pub mod digest;
 pub mod error;
 pub mod eval;
@@ -37,7 +36,6 @@ pub mod store;
 pub mod value;
 
 pub use cfg::{FuncBody, Instr, InstrMeta, Module};
-pub use cow::CowVec;
 pub use digest::Digest;
 pub use error::ExecError;
 pub use eval::{eval_operand, eval_rvalue, exec_assign, place_addr, Env};

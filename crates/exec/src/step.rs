@@ -193,8 +193,8 @@ impl<'a> ThreadEnv<'a> {
 
     /// Replaces memory whole, as a callee's summarized exit state does
     /// at its call site. With a log, the old memory waits on the log
-    /// until [`UndoLog::undo_to`] puts it back; `Memory` is
-    /// [`CowVec`](crate::CowVec)-backed, so neither move copies it.
+    /// until [`UndoLog::undo_to`] puts it back; both are moves, so
+    /// neither copies a store.
     #[inline]
     pub fn replace_memory(&mut self, mem: Memory) {
         let old = std::mem::replace(self.mem, mem);

@@ -4,10 +4,11 @@
 //! each operation that operand shapes match, and report a runtime error
 //! (distinct from an assertion failure) otherwise.
 
+use std::sync::Arc;
+
 use kiss_lang::hir::{Const, FuncId, GlobalId, StructId};
 use kiss_lang::Program;
 
-use crate::cow::CowVec;
 use crate::digest::{Cell, Digest};
 
 /// The address of a memory cell.
@@ -129,17 +130,18 @@ pub struct HeapObj {
 /// Shared memory: globals plus the heap, and a [`Digest`] of both.
 /// Thread stacks live in the engines' own configurations.
 ///
-/// Both stores are [`CowVec`]s: cloning a `Memory` into a frontier slot
-/// bumps per-chunk reference counts, and the first write to a shared
-/// chunk copies only that chunk. They are read-only from outside:
-/// every write goes through [`Memory::set_global`],
-/// [`Memory::set_field`] or [`Memory::malloc`], which keep the digest
-/// current. The digest is a function of the contents and is compared
-/// last, so equality, ordering and `Hash` depend only on the contents.
+/// Both stores sit behind an [`Arc`]: cloning a `Memory` into a
+/// frontier slot bumps two reference counts, and the first write to a
+/// shared store copies that store ([`Arc::make_mut`]). They are
+/// read-only from outside: every write goes through
+/// [`Memory::set_global`], [`Memory::set_field`] or [`Memory::malloc`],
+/// which keep the digest current. The digest is a function of the
+/// contents and is compared last, so equality, ordering and `Hash`
+/// depend only on the contents.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Memory {
-    globals: CowVec<Value>,
-    heap: CowVec<HeapObj>,
+    globals: Arc<Vec<Value>>,
+    heap: Arc<Vec<HeapObj>>,
     /// One term per global, heap field and heap-object header.
     digest: Digest,
 }
@@ -149,26 +151,27 @@ impl Memory {
     /// or type defaults, empty heap.
     pub fn initial(program: &Program) -> Memory {
         let mut mem = Memory::default();
+        let globals = Arc::make_mut(&mut mem.globals);
         for (g, gd) in program.globals.iter().enumerate() {
             let value = match gd.init {
                 Some(c) => Value::from_const(c),
                 None => Value::default_for(gd.ty.as_ref()),
             };
             mem.digest.add(Cell::Global(g as u32), value);
-            mem.globals.push(value);
+            globals.push(value);
         }
         mem
     }
 
     /// One value per global.
     #[inline]
-    pub fn globals(&self) -> &CowVec<Value> {
+    pub fn globals(&self) -> &[Value] {
         &self.globals
     }
 
     /// Allocated objects, in allocation order.
     #[inline]
-    pub fn heap(&self) -> &CowVec<HeapObj> {
+    pub fn heap(&self) -> &[HeapObj] {
         &self.heap
     }
 
@@ -181,11 +184,11 @@ impl Memory {
     /// Writes global `g`, returning the value it held.
     #[inline]
     pub fn set_global(&mut self, g: GlobalId, value: Value) -> Value {
-        // Read first: a write of the value already there leaves a chunk
+        // Read first: a write of the value already there leaves a store
         // shared with a sibling state uncopied.
         let old = self.globals[g.0 as usize];
         if old != value {
-            self.globals[g.0 as usize] = value;
+            Arc::make_mut(&mut self.globals)[g.0 as usize] = value;
             self.digest.replace(Cell::Global(g.0), old, value);
         }
         old
@@ -197,7 +200,7 @@ impl Memory {
     pub fn set_field(&mut self, obj: u32, field: u32, value: Value) -> Option<Value> {
         let old = *self.heap.get(obj as usize)?.fields.get(field as usize)?;
         if old != value {
-            self.heap[obj as usize].fields[field as usize] = value;
+            Arc::make_mut(&mut self.heap)[obj as usize].fields[field as usize] = value;
             self.digest.replace(Cell::Field(obj, field), old, value);
         }
         Some(old)
@@ -214,14 +217,14 @@ impl Memory {
         for (f, &value) in fields.iter().enumerate() {
             self.digest.add(Cell::Field(obj, f as u32), value);
         }
-        self.heap.push(HeapObj { struct_id: sid, fields });
+        Arc::make_mut(&mut self.heap).push(HeapObj { struct_id: sid, fields });
         obj
     }
 
     /// Frees the most recently allocated object: takes back a
     /// [`Memory::malloc`].
     pub(crate) fn free_last(&mut self) {
-        let obj = self.heap.pop().expect("an allocated object");
+        let obj = Arc::make_mut(&mut self.heap).pop().expect("an allocated object");
         let id = self.heap.len() as u32;
         self.digest.remove(Cell::Object(id), obj.struct_id);
         for (f, &value) in obj.fields.iter().enumerate() {
@@ -329,6 +332,41 @@ mod tests {
         assert_eq!(mem.digest(), fresh.digest());
         assert_eq!(mem, fresh);
         assert_eq!(mem.cmp(&fresh), std::cmp::Ordering::Equal);
+    }
+
+    #[test]
+    fn clones_share_storage_until_written() {
+        let p = parse_and_lower("struct D { int x; } int a; int b; void main() { skip; }").unwrap();
+        let mut base = Memory::initial(&p);
+        base.malloc(&p, StructId(0));
+        let shares = |a: &Memory, b: &Memory| {
+            (a.globals().as_ptr() == b.globals().as_ptr(), a.heap().as_ptr() == b.heap().as_ptr())
+        };
+        let mut mem = base.clone();
+        assert_eq!(shares(&mem, &base), (true, true));
+        // Writing the value a cell already holds copies nothing.
+        mem.set_global(GlobalId(0), Value::Int(0));
+        assert_eq!(shares(&mem, &base), (true, true));
+        mem.set_global(GlobalId(0), Value::Int(3));
+        assert_eq!(shares(&mem, &base), (false, true), "only the globals were copied");
+        let mut other = base.clone();
+        other.set_field(0, 0, Value::Int(5));
+        assert_eq!(shares(&other, &base), (true, false), "only the heap was copied");
+        let mut grown = base.clone();
+        grown.malloc(&p, StructId(0));
+        assert_eq!(shares(&grown, &base), (true, false));
+        let mut shrunk = base.clone();
+        shrunk.free_last();
+        assert_eq!(shares(&shrunk, &base), (true, false));
+        // The source of every clone reads as before.
+        assert_eq!(base.globals(), [Value::Int(0), Value::Int(0)]);
+        assert_eq!(base.heap().len(), 1);
+        assert_eq!(base.heap()[0].fields, [Value::Int(0)]);
+        for m in [&base, &mem, &other, &grown, &shrunk] {
+            assert_eq!(m.digest(), m.digest_from_scratch());
+        }
+        assert_eq!((mem.globals()[0], other.heap()[0].fields[0]), (Value::Int(3), Value::Int(5)));
+        assert_eq!((grown.heap().len(), shrunk.heap().len()), (2, 0));
     }
 
     #[test]

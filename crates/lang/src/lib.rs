@@ -29,8 +29,8 @@
 //! * a programmatic builder API ([`build`]) used by the KISS
 //!   transformation and the synthetic driver corpus, and
 //! * the one 128-bit fingerprint hasher ([`fingerprint`]), which keys
-//!   remembered bodies here and states, chunks and cache entries in the
-//!   crates above.
+//!   remembered bodies here and states and cache entries in the crates
+//!   above.
 //!
 //! ```
 //! let src = r#"

@@ -110,9 +110,13 @@ impl Graph {
         self.accepting.push(accepting);
     }
 
-    /// Bytes held by the edges.
+    /// Bytes held by the adjacency lists (headers and edges, spare
+    /// capacity included) and the accepting flags.
     fn bytes(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum::<usize>() * std::mem::size_of::<(u32, SegId)>()
+        self.adj.capacity() * std::mem::size_of::<Vec<(u32, SegId)>>()
+            + self.adj.iter().map(Vec::capacity).sum::<usize>()
+                * std::mem::size_of::<(u32, SegId)>()
+            + self.accepting.capacity() * std::mem::size_of::<bool>()
     }
 }
 

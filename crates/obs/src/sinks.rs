@@ -7,7 +7,7 @@ use std::io::{self, BufWriter, Write};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::event::{CheckMetrics, Event};
+use crate::event::Event;
 use crate::metrics::Histogram;
 use crate::report::RunReport;
 
@@ -82,7 +82,10 @@ impl<W: Write + Send> Observer for JsonlSink<W> {
 
 #[derive(Default)]
 struct AggState {
-    metrics: Vec<CheckMetrics>,
+    /// Every finished check, folded in as it arrives.
+    all: RunReport,
+    /// The same, leaving out checks that ended in cancellation.
+    resumable: RunReport,
     event_counts: BTreeMap<&'static str, u64>,
     requests: u64,
     cache_hits: u64,
@@ -121,11 +124,8 @@ impl Aggregator {
     /// The report over every finished check seen so far, plus the
     /// serve-mode request/cache counters.
     pub fn report(&self) -> RunReport {
-        let mut report = RunReport::default();
         let state = self.state.lock().expect("aggregator lock");
-        for m in &state.metrics {
-            report.observe(m);
-        }
+        let mut report = state.all.clone();
         state.serving_into(&mut report);
         report
     }
@@ -134,13 +134,7 @@ impl Aggregator {
     /// cancellation. A resumed run re-checks those fields, so storing
     /// them in a journal's report record would double-count them.
     pub fn resumable_report(&self) -> RunReport {
-        let mut report = RunReport::default();
-        for m in &self.state.lock().expect("aggregator lock").metrics {
-            if m.bound_reason.as_deref() != Some("cancelled") {
-                report.observe(m);
-            }
-        }
-        report
+        self.state.lock().expect("aggregator lock").resumable.clone()
     }
 
     /// How many of each event kind were observed.
@@ -154,7 +148,12 @@ impl Observer for Aggregator {
         let mut state = self.state.lock().expect("aggregator lock");
         *state.event_counts.entry(event.kind()).or_default() += 1;
         match event {
-            Event::CheckFinished { metrics } => state.metrics.push(metrics.clone()),
+            Event::CheckFinished { metrics } => {
+                state.all.observe(metrics);
+                if metrics.bound_reason.as_deref() != Some("cancelled") {
+                    state.resumable.observe(metrics);
+                }
+            }
             Event::RequestReceived { .. } => state.requests += 1,
             Event::CacheHit { .. } => state.cache_hits += 1,
             Event::CacheMiss { .. } => state.cache_misses += 1,
@@ -291,6 +290,7 @@ impl<W: Write + Send> Observer for Heartbeat<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::CheckMetrics;
 
     /// A clonable in-memory writer so tests can read back what a sink
     /// wrote after handing it ownership.
